@@ -38,11 +38,9 @@ from .exact import (
 from .lattice import (
     AdaptedBasis,
     Lagrangian,
-    OmegaBlocks,
     SymplecticSpace,
     adapted_basis,
     intersect,
-    omega_blocks,
     pair_adapted_bases,
 )
 from .maslov import (

@@ -455,12 +455,6 @@ def coset_reps(a: Matrix) -> list[tuple[int, ...]]:
     return [mat_vec(uinv, r) for r in product(*(range(d) for d in diag))]
 
 
-def same_coset(a: Matrix, x: Vector, y: Vector) -> bool:
-    """Decide x - y in A Z^n (exact)."""
-    diff = solve(a, vec_sub(x, y))
-    return all(t.denominator == 1 for t in diff)
-
-
 # ---------------------------------------------------------------------------
 # exact signatures of symmetric forms
 

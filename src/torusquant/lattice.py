@@ -77,6 +77,13 @@ class SymplecticSpace:
                 total += xi * sum(row[j] * y[j] for j in range(self.dim) if y[j])
         return total
 
+    def block(self, rows_a, rows_b) -> tuple[tuple, ...]:
+        """The pairing block [omega(a, b) for b in rows_b] for a in rows_a.
+
+        Swapping the arguments gives minus the transpose.
+        """
+        return tuple(tuple(self.omega(a, b) for b in rows_b) for a in rows_a)
+
 
 @dataclass(frozen=True)
 class Lagrangian:
@@ -157,44 +164,6 @@ class AdaptedBasis:
     def span(self) -> Lagrangian:
         """The Lagrangian spanned by the W rows."""
         return Lagrangian.make(self.space, self.w)
-
-
-@dataclass(frozen=True)
-class OmegaBlocks:
-    """The eight g x g pairing blocks of two adapted bases.
-
-    w2_w1[i][j] = omega(W2_i, W1_j) and so on; the reversed blocks satisfy
-    the transposition relations (each is minus the transpose of its partner).
-    """
-
-    w2_w1: tuple
-    w2_w1p: tuple
-    w2p_w1: tuple
-    w2p_w1p: tuple
-    w1_w2: tuple
-    w1p_w2: tuple
-    w1_w2p: tuple
-    w1p_w2p: tuple
-
-
-def omega_blocks(b1: AdaptedBasis, b2: AdaptedBasis) -> OmegaBlocks:
-    if b1.space != b2.space:
-        raise SpaceMismatch("bases live in different spaces")
-    om = b1.space.omega
-
-    def block(rows_a, rows_b):
-        return freeze([[om(a, b) for b in rows_b] for a in rows_a])
-
-    return OmegaBlocks(
-        w2_w1=block(b2.w, b1.w),
-        w2_w1p=block(b2.w, b1.wperp),
-        w2p_w1=block(b2.wperp, b1.w),
-        w2p_w1p=block(b2.wperp, b1.wperp),
-        w1_w2=block(b1.w, b2.w),
-        w1p_w2=block(b1.wperp, b2.w),
-        w1_w2p=block(b1.w, b2.wperp),
-        w1p_w2p=block(b1.wperp, b2.wperp),
-    )
 
 
 # ---------------------------------------------------------------------------

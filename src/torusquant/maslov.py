@@ -30,10 +30,6 @@ from .exact import (
 from .lattice import AdaptedBasis, Lagrangian, SymplecticSpace, intersect
 
 
-def _pairing_block(space, rows_a, rows_b):
-    return [[space.omega(a, b) for b in rows_b] for a in rows_a]
-
-
 def triple_index(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
     """Signature of the form omega(x1,x2) + omega(x2,x3) + omega(x3,x1)
     on L1 + L2 + L3, evaluated on the stored lattice generators.
@@ -45,9 +41,9 @@ def triple_index(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
     if l2.space != space or l3.space != space:
         raise SpaceMismatch("Lagrangians live in different spaces")
     r1, r2, r3 = l1.rank, l2.rank, l3.rank
-    om12 = _pairing_block(space, l1.gens, l2.gens)
-    om23 = _pairing_block(space, l2.gens, l3.gens)
-    om31 = _pairing_block(space, l3.gens, l1.gens)
+    om12 = space.block(l1.gens, l2.gens)
+    om23 = space.block(l2.gens, l3.gens)
+    om31 = space.block(l3.gens, l1.gens)
     n = r1 + r2 + r3
     # twice the symmetric Gram matrix of the quadratic form; the factor 2
     # does not change the signature and keeps every entry an integer
@@ -82,7 +78,7 @@ def triple_index_transverse(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> i
     for v in l2.gens:
         coeffs = solve(bt, v)  # v = coeffs . basis rows
         proj.append(vec_mat(coeffs[l1.rank :], l3.gens))
-    h = [[space.omega(x, py) for py in proj] for x in l2.gens]
+    h = space.block(l2.gens, proj)
     return signature(h).index
 
 

@@ -112,7 +112,13 @@ class HilbertSpace:
         return idx
 
 
-@lru_cache(maxsize=None)
+# Bounds of the per-process caches below.  A long-lived process meets ever
+# new frames; a pairing or operator call needs one or two entries at a time.
+LABELS_CACHE_SIZE = 16
+STACK_INV_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=LABELS_CACHE_SIZE)
 def _labels(k: int, g: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(k), repeat=g))
 
@@ -136,9 +142,6 @@ class Intertwiner:
     matrix: np.ndarray
     exact: tuple | None = field(default=None, repr=False)
 
-    def exact_available(self) -> bool:
-        return self.exact is not None
-
     def scaled(self, phase: UnitPhase) -> "Intertwiner":
         ex = None
         if self.exact is not None:
@@ -157,7 +160,7 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 # the adapted potential and Bohr-Sommerfeld intersection data
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=STACK_INV_CACHE_SIZE)
 def _stack_inv(basis: AdaptedBasis):
     return freeze(frac_inv(basis.stack))
 
@@ -176,8 +179,13 @@ def frame_potential(pol: Polarization, x) -> Fraction:
     ) / 2
 
 
-def _block(space, rows_a, rows_b):
-    return [[space.omega(a, b) for b in rows_b] for a in rows_a]
+def _common_space(h1: HilbertSpace, h2: HilbertSpace) -> SymplecticSpace:
+    """The space under two Hilbert spaces, which must share it and the level."""
+    if h1.k != h2.k:
+        raise DimensionMismatch("Hilbert spaces carry different levels k")
+    if h1.pol.space != h2.pol.space:
+        raise SpaceMismatch("Hilbert spaces live over different spaces")
+    return h1.pol.space
 
 
 def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tuple]:
@@ -187,14 +195,10 @@ def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tupl
     lattice, returned as exact rational ambient vectors (representatives
     modulo the integer lattice), in coset enumeration order.
     """
-    if h1.k != h2.k:
-        raise DimensionMismatch("Hilbert spaces carry different levels k")
-    space = h1.pol.space
-    if space != h2.pol.space:
-        raise SpaceMismatch("Hilbert spaces live over different spaces")
+    space = _common_space(h1, h2)
     k = h1.k
     b1, b2 = h1.pol.basis, h2.pol.basis
-    om21 = _block(space, b2.w, b1.w)
+    om21 = space.block(b2.w, b1.w)
     if det(om21) == 0:
         raise NotTransverse("polarizations are not transverse")
     om21inv = frac_inv(om21)
@@ -249,31 +253,27 @@ def bks_matrix_transverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     unit phases over the cosets Z^g / omega(2,1) Z^g, with exponents built
     from the three pairing blocks of the two frames.
     """
-    if h1.k != h2.k:
-        raise DimensionMismatch("Hilbert spaces carry different levels k")
-    space = h1.pol.space
-    if space != h2.pol.space:
-        raise SpaceMismatch("Hilbert spaces live over different spaces")
+    space = _common_space(h1, h2)
     k, g = h1.k, h1.g
     b1, b2 = h1.pol.basis, h2.pol.basis
-    om21 = _block(space, b2.w, b1.w)
+    om21 = space.block(b2.w, b1.w)
     d = det(om21)
     if d == 0:
         raise NotTransverse("polarizations are not transverse")
     adj = adjugate(om21)
-    m1 = mat_mul(adj, _block(space, b2.w, b1.wperp))
-    m3 = mat_mul(_block(space, b2.wperp, b1.w), adj)
+    m1 = mat_mul(adj, space.block(b2.w, b1.wperp))
+    m3 = mat_mul(space.block(b2.wperp, b1.w), adj)
     reps = coset_reps(om21)
     labels = _labels(k, g)
     amp2 = Fraction(abs(k**g * d))
     table, den = _phase_table(k, d, adj, m1, m3, reps, labels)
-    return _assemble(h1, h2, labels, labels, table, amp2, den, len(reps))
+    return _assemble(h1, h2, table, amp2, den, len(reps))
 
 
-def _assemble(h1, h2, rows, cols, table, amp2, den, nterms):
+def _assemble(h1, h2, table, amp2, den, nterms):
     """Materialize the float matrix (and, under the term limit, the exact
     PhaseSum matrix) from a table of phase numerators."""
-    dim_r, dim_c = len(rows), len(cols)
+    dim_r, dim_c = h2.dim, h1.dim
     with_exact = nterms <= EXACT_TERM_LIMIT
     exact = [[PhaseSum.zero()] * dim_c for _ in range(dim_r)] if with_exact else None
     matrix = np.zeros((dim_r, dim_c), dtype=complex)
@@ -315,17 +315,13 @@ def bks_matrix_nontransverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     agree; the surviving block is the transverse formula for the leading
     h x h reduced pairing blocks.  Identical polarizations give the identity.
     """
-    if h1.k != h2.k:
-        raise DimensionMismatch("Hilbert spaces carry different levels k")
-    space = h1.pol.space
-    if space != h2.pol.space:
-        raise SpaceMismatch("Hilbert spaces live over different spaces")
+    space = _common_space(h1, h2)
     k, g = h1.k, h1.g
     l12, h = _pair_adapted_or_raise(h1, h2)
     b1, b2 = h1.pol.basis, h2.pol.basis
-    om21 = _block(space, b2.w, b1.w)
-    om21p = _block(space, b2.w, b1.wperp)
-    om2p1 = _block(space, b2.wperp, b1.w)
+    om21 = space.block(b2.w, b1.w)
+    om21p = space.block(b2.w, b1.wperp)
+    om2p1 = space.block(b2.wperp, b1.w)
     for i in range(g):
         for j in range(g):
             if (i >= h or j >= h) and om21[i][j] != 0:
@@ -351,25 +347,42 @@ def bks_matrix_nontransverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
             if q1[h:] != q2[h:]:
                 continue
             table[(i2, i1)] = head_table[(head_index[q2[:h]], head_index[q1[:h]])]
-    return _assemble(h1, h2, labels, labels, table, amp2, den, len(reps))
+    return _assemble(h1, h2, table, amp2, den, len(reps))
 
 
 # ---------------------------------------------------------------------------
 # change of frame
 
 
-def rebase_unitary(
-    pol: Polarization, b1: AdaptedBasis, b2: AdaptedBasis, k: int
-) -> Intertwiner:
-    """Unitary identification of the Hilbert spaces built on two adapted
-    frames of the same polarization.
+@dataclass(frozen=True)
+class Monomial:
+    """A permutation matrix times unit phases: row i holds phases[i] in
+    column cols[i] and zeros elsewhere.
 
-    The frame map b1 -> b2 has block form (A, B; 0, A^-T) in the b1 frame;
-    the standard basis transforms by the monomial matrix
-    sigma^{b2}_q = e^{(pi i/k) q^T A^{-1}B q} sigma^{b1}_{A^-T q}, so the
-    matrix of the identification carries the conjugate phases.  Composing the
-    two directions gives the identity.
+    Frame changes and the Heisenberg translation operators have this form.
     """
+
+    cols: tuple[int, ...]
+    phases: tuple[UnitPhase, ...]
+
+    def dense(self) -> np.ndarray:
+        dim = len(self.cols)
+        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix[np.arange(dim), self.cols] = [p.value() for p in self.phases]
+        return matrix
+
+    def exact(self) -> tuple:
+        dim = len(self.cols)
+        rows = [[PhaseSum.zero()] * dim for _ in range(dim)]
+        for row, col, phase in zip(rows, self.cols, self.phases):
+            row[col] = PhaseSum.unit(phase)
+        return freeze(rows)
+
+
+def _frame_change(
+    pol: Polarization, b1: AdaptedBasis, b2: AdaptedBasis, k: int
+) -> Monomial:
+    """The monomial matrix of rebase_unitary, rows in the b2 labels."""
     lag = pol.lag
     for b in (b1, b2):
         if hnf_rows(b.w) != lag.gens:
@@ -395,35 +408,30 @@ def rebase_unitary(
         raise BasisMismatch("frame transition is not symplectic")
     c_inv = int_inv(c_rows)
     labels = _labels(k, g)
-    dim = len(labels)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    exact = [[PhaseSum.zero()] * dim for _ in range(dim)]
-    src = HilbertSpace(k, Polarization(lag, b1))
-    dst = HilbertSpace(k, Polarization(lag, b2))
-    for i2, q2 in enumerate(labels):
-        q1 = tuple(x % k for x in mat_vec(c_inv, q2))
-        i1 = dst.label_index(q1)
-        phase = UnitPhase.of(-Fraction(quad_form(q2, s_mat, q2), k))
-        matrix[i2, i1] = phase.value()
-        exact[i2][i1] = PhaseSum.unit(phase)
-    return Intertwiner(src, dst, matrix, freeze(exact))
+    index = {q: i for i, q in enumerate(labels)}
+    cols = tuple(index[tuple(x % k for x in mat_vec(c_inv, q2))] for q2 in labels)
+    phases = tuple(
+        UnitPhase.of(-Fraction(quad_form(q2, s_mat, q2), k)) for q2 in labels
+    )
+    return Monomial(cols, phases)
 
 
-def _monomial_maps(inter: Intertwiner):
-    """(row -> (col, phase)) decomposition of a monomial intertwiner."""
-    out = {}
-    for i, row in enumerate(inter.exact):
-        hits = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
-        if len(hits) != 1 or hits[0][1].amp2 != 1 or hits[0][1].nterms != 1:
-            raise ValueError("intertwiner is not monomial")
-        j, e = hits[0]
-        t, c = e.terms[0]
-        if c == -1:  # canonical form folds e^{i pi (t+1)} to -e^{i pi t}
-            t, c = t + 1, 1
-        if c != 1:
-            raise ValueError("intertwiner is not monomial")
-        out[i] = (j, UnitPhase(t))
-    return out
+def rebase_unitary(
+    pol: Polarization, b1: AdaptedBasis, b2: AdaptedBasis, k: int
+) -> Intertwiner:
+    """Unitary identification of the Hilbert spaces built on two adapted
+    frames of the same polarization.
+
+    The frame map b1 -> b2 has block form (A, B; 0, A^-T) in the b1 frame;
+    the standard basis transforms by the monomial matrix
+    sigma^{b2}_q = e^{(pi i/k) q^T A^{-1}B q} sigma^{b1}_{A^-T q}, so the
+    matrix of the identification carries the conjugate phases.  Composing the
+    two directions gives the identity.
+    """
+    m = _frame_change(pol, b1, b2, k)
+    src = HilbertSpace(k, Polarization(pol.lag, b1))
+    dst = HilbertSpace(k, Polarization(pol.lag, b2))
+    return Intertwiner(src, dst, m.dense(), m.exact())
 
 
 def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
@@ -431,13 +439,10 @@ def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
 
     Transverse pairs go straight to the closed form.  Nontransverse pairs are
     computed in pair-adapted frames and conjugated back by the frame-change
-    unitaries, so the public matrix always refers to the frames carried by
+    monomials, so the public matrix always refers to the frames carried by
     h1 and h2 (canonical frames in normal use).
     """
-    if h1.k != h2.k:
-        raise DimensionMismatch("Hilbert spaces carry different levels k")
-    if h1.pol.space != h2.pol.space:
-        raise SpaceMismatch("Hilbert spaces live over different spaces")
+    _common_space(h1, h2)
     l1, l2 = h1.pol.lag, h2.pol.lag
     if intersect(l1, l2).rank == 0:
         return bks_matrix_transverse(h1, h2)
@@ -446,21 +451,17 @@ def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     hp1 = HilbertSpace(k, Polarization(l1, pb1))
     hp2 = HilbertSpace(k, Polarization(l2, pb2))
     mid = bks_matrix_nontransverse(hp1, hp2)
-    out = rebase_unitary(Polarization(l2, pb2), pb2, h2.pol.basis, k)
-    back = rebase_unitary(Polarization(l1, h1.pol.basis), h1.pol.basis, pb1, k)
-    matrix = out.matrix @ mid.matrix @ back.matrix
+    out = _frame_change(Polarization(l2, pb2), pb2, h2.pol.basis, k)
+    back = _frame_change(Polarization(l1, h1.pol.basis), h1.pol.basis, pb1, k)
+    matrix = out.dense() @ mid.matrix @ back.dense()
     if mid.exact is None:
         return Intertwiner(h1, h2, matrix, None)
-    out_map = _monomial_maps(out)
-    back_by_col = {}
-    for row, (col, psi) in _monomial_maps(back).items():
-        back_by_col[col] = (row, psi)
-    exact = [[None] * h1.dim for _ in range(h1.dim)]
-    for i2 in range(h2.dim):
-        j2, phi = out_map[i2]
-        for i1 in range(h1.dim):
-            jb, psi = back_by_col[i1]
-            exact[i2][i1] = mid.exact[j2][jb].times_phase(phi * psi)
+    # back is a permutation: rows[i1] is the row that holds column i1
+    rows = sorted(range(h1.dim), key=back.cols.__getitem__)
+    exact = [
+        [mid.exact[j2][jb].times_phase(phi * back.phases[jb]) for jb in rows]
+        for j2, phi in zip(out.cols, out.phases)
+    ]
     return Intertwiner(h1, h2, matrix, freeze(exact))
 
 

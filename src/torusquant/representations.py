@@ -20,6 +20,7 @@ from .maslov import MpElement, SpElement
 from .quantize import (
     HilbertSpace,
     Intertwiner,
+    Monomial,
     Polarization,
     _stack_inv,
     bks_matrix,
@@ -109,47 +110,30 @@ def heisenberg_in_frame(x: HeisenbergElement, frame: Polarization) -> Heisenberg
 
 
 def heisenberg_matrix(x: HeisenbergElement, space: HilbertSpace) -> "RepMatrix":
-    """The unitary action on the labeled standard basis.
+    """The unitary action on the labeled standard basis, in closed form.
 
-    Generators act per the translation computation: the i-th leaf direction
-    is diagonal with phases e^{2 pi i q_i / k}, the i-th transverse direction
-    shifts the i-th label by one.  A general element is the ordered product
-    (transverse components first, then leaf components) times the central
-    phase that re-balances the element against that product.
+    With a = n[:g] (leaf components) and b = n[g:] (transverse components),
+    the operator is monomial: row idx(p) holds the phase
+    x.phase * e^{i pi (2 a.p - a.b)/k} in column idx(p - b).
+
+    This is the ordered generator product, transverse components first (the
+    i-th shifts the i-th label by one), then leaf components (the i-th is
+    diagonal with phases e^{2 pi i q_i / k}), times the central phase that
+    re-balances x against that product.  The product rebuilds the element
+    with central phase e^{-i pi a.b/k}; no carry occurs, because every
+    coordinate is below k.
     """
     if space.pol != x.frame or space.k != x.k:
         raise FrameMismatch("element frame does not match the Hilbert space")
     k, g = x.k, space.g
-    labels = space.labels
-    dim = space.dim
-    acc = np.eye(dim, dtype=complex)
-    rebuilt = heisenberg_identity(k, x.frame)
-    factors = []
-    for i in range(g):
-        factors += [(g + i, x.n[g + i])]
-    for i in range(g):
-        factors += [(i, x.n[i])]
-    for pos, count in factors:
-        if count == 0:
-            continue
-        gen = np.zeros((dim, dim), dtype=complex)
-        if pos < g:
-            for idx, q in enumerate(labels):
-                gen[idx, idx] = UnitPhase.of(Fraction(2 * q[pos], k)).value()
-        else:
-            i = pos - g
-            for idx, q in enumerate(labels):
-                shifted = list(q)
-                shifted[i] = (shifted[i] + 1) % k
-                gen[space.label_index(shifted), idx] = 1.0
-        unit = [0] * 2 * g
-        unit[pos] = 1
-        gen_elem = HeisenbergElement.of(k, unit, x.frame)
-        for _ in range(count):
-            acc = acc @ gen
-            rebuilt = heisenberg_mul(rebuilt, gen_elem)
-    balance = x.phase * rebuilt.phase.conj()
-    return RepMatrix(space, balance.value() * acc)
+    a, b = x.n[:g], x.n[g:]
+    ab = sum(ai * bi for ai, bi in zip(a, b))
+    cols, phases = [], []
+    for p in space.labels:
+        cols.append(space.label_index([pi - bi for pi, bi in zip(p, b)]))
+        ap = sum(ai * pi for ai, pi in zip(a, p))
+        phases.append(x.phase * UnitPhase.of(Fraction(2 * ap - ab, k)))
+    return RepMatrix(space, Monomial(tuple(cols), tuple(phases)).dense())
 
 
 @dataclass(eq=False)

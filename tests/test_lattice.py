@@ -16,7 +16,6 @@ from torusquant.lattice import (
     SymplecticSpace,
     adapted_basis,
     intersect,
-    omega_blocks,
     pair_adapted_bases,
 )
 from torusquant.verify import random_lagrangian, random_pair
@@ -162,8 +161,7 @@ class TestPairAdapted:
             g = space.g
             s = intersect(l1, l2).rank
             h = g - s
-            blocks = omega_blocks(b1, b2)
-            ww = blocks.w2_w1
+            ww = space.block(b2.w, b1.w)
             # rank of the leading block matches the transversality defect
             for i in range(g):
                 for j in range(g):
@@ -174,7 +172,7 @@ class TestPairAdapted:
                 assert det(red) != 0
             # omega(2perp,1) omega(2,1)^{-1} is symmetric for transverse pairs
             if s == 0:
-                m = mat_mul(blocks.w2p_w1, frac_inv(blocks.w2_w1))
+                m = mat_mul(space.block(b2.wperp, b1.w), frac_inv(ww))
                 assert m == transpose(m)
 
     def test_transposition_relations(self):
@@ -182,24 +180,20 @@ class TestPairAdapted:
         for _ in range(10):
             l1, l2 = random_pair(rng, SP2)
             b1, b2 = adapted_basis(l1), adapted_basis(l2)
-            blocks = omega_blocks(b1, b2)
             neg_t = lambda m: tuple(
                 tuple(-m[j][i] for j in range(len(m))) for i in range(len(m[0]))
             )
-            assert blocks.w1_w2 == neg_t(blocks.w2_w1)
-            assert blocks.w1p_w2 == neg_t(blocks.w2_w1p)
-            assert blocks.w1_w2p == neg_t(blocks.w2p_w1)
-            assert blocks.w1p_w2p == neg_t(blocks.w2p_w1p)
+            for rows_a in (b2.w, b2.wperp):
+                for rows_b in (b1.w, b1.wperp):
+                    assert SP2.block(rows_a, rows_b) == neg_t(SP2.block(rows_b, rows_a))
 
     def test_identity_blocks(self):
         b = adapted_basis(lag(SP1, (1, 0)))
-        blocks = omega_blocks(b, b)
-        assert blocks.w2_w1 == ((0,),)
-        assert blocks.w2_w1p == ((1,),)
+        assert SP1.block(b.w, b.w) == ((0,),)
+        assert SP1.block(b.w, b.wperp) == ((1,),)
 
     def test_canonical_crossing_blocks(self):
         b1 = adapted_basis(lag(SP1, (1, 0)))
         b2 = adapted_basis(lag(SP1, (0, 1)))
         assert b2.w == ((0, 1),) and b2.wperp == ((-1, 0),)
-        blocks = omega_blocks(b1, b2)
-        assert blocks.w2_w1 == ((-1,),)
+        assert SP1.block(b2.w, b1.w) == ((-1,),)

@@ -25,6 +25,7 @@ from torusquant.lattice import (
 )
 from torusquant.maslov import LagrangianLift, triple_index
 from torusquant.quantize import (
+    STACK_INV_CACHE_SIZE,
     HilbertSpace,
     Polarization,
     bks_matrix,
@@ -32,6 +33,7 @@ from torusquant.quantize import (
     bks_matrix_transverse,
     corrected_intertwiner,
     frame_potential,
+    _stack_inv,
     intersection_points,
     rebase_unitary,
     unitarity_defect,
@@ -100,6 +102,13 @@ class TestFramePotential:
             for wp in pol.basis.wperp:
                 lhs = frame_potential(pol, tuple(a + b for a, b in zip(x, wp))) - frame_potential(pol, x)
                 assert lhs == -Fraction(space.omega(wp, x), 2)
+
+    def test_frame_cache_is_bounded(self):
+        # the frames (e1; n e1 + f1) of span(e1) are distinct for every n
+        for n in range(1000):
+            pol = Polarization(L_E1, AdaptedBasis(SP1, ((1, 0),), ((n, 1),)))
+            assert frame_potential(pol, (1, 1)) == Fraction(1 - n, 2)
+        assert _stack_inv.cache_info().currsize <= STACK_INV_CACHE_SIZE
 
 
 class TestIntersectionPoints:

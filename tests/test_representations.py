@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,6 +33,33 @@ POL1 = Polarization.canonical(L_E1)
 def random_heis(rng, k, pol):
     n = tuple(rng.randrange(k) for _ in range(pol.space.dim))
     return HeisenbergElement(k, UnitPhase.of(Fraction(rng.randrange(8), 4)), n, pol)
+
+
+def generator_product(x, space):
+    """Reference Heisenberg action: the ordered product of dense generator
+    matrices, transverse components first, then leaf components, times the
+    central phase that re-balances x against the element the same product
+    rebuilds through heisenberg_mul."""
+    k, g, dim = x.k, space.g, space.dim
+    acc = np.eye(dim, dtype=complex)
+    rebuilt = heisenberg_identity(k, x.frame)
+    factors = [(g + i, x.n[g + i]) for i in range(g)] + [(i, x.n[i]) for i in range(g)]
+    for pos, count in factors:
+        gen = np.zeros((dim, dim), dtype=complex)
+        for idx, q in enumerate(space.labels):
+            if pos < g:
+                gen[idx, idx] = UnitPhase.of(Fraction(2 * q[pos], k)).value()
+            else:
+                shifted = list(q)
+                shifted[pos - g] += 1
+                gen[space.label_index(shifted), idx] = 1.0
+        unit = [0] * 2 * g
+        unit[pos] = 1
+        gen_elem = HeisenbergElement.of(k, unit, x.frame)
+        for _ in range(count):
+            acc = acc @ gen
+            rebuilt = heisenberg_mul(rebuilt, gen_elem)
+    return (x.phase * rebuilt.phase.conj()).value() * acc
 
 
 class TestHeisenbergGroup:
@@ -79,6 +107,27 @@ class TestHeisenbergGroup:
 
 
 class TestHeisenbergAction:
+    @pytest.mark.parametrize("g,k", [(1, 2), (1, 4), (2, 2)])
+    def test_closed_form_matches_generator_product_everywhere(self, g, k):
+        space = SymplecticSpace.standard(g)
+        pol = Polarization.canonical(Lagrangian.make(space, [[int(j == i) for j in range(2 * g)] for i in range(g)]))
+        hs = HilbertSpace(k, pol)
+        for n in product(range(k), repeat=2 * g):
+            for j in range(8):
+                x = HeisenbergElement(k, UnitPhase.of(Fraction(j, 4)), n, pol)
+                err = np.abs(heisenberg_matrix(x, hs).matrix - generator_product(x, hs)).max()
+                assert err < 1e-12, (n, j)
+
+    @pytest.mark.parametrize("g,k", [(2, 4), (1, 64)])
+    def test_closed_form_matches_generator_product_seeded(self, g, k):
+        rng = random.Random(10 * g + k)
+        pol = Polarization.canonical(random_lagrangian(rng, SymplecticSpace.standard(g)))
+        hs = HilbertSpace(k, pol)
+        for _ in range(50):
+            x = random_heis(rng, k, pol)
+            err = np.abs(heisenberg_matrix(x, hs).matrix - generator_product(x, hs)).max()
+            assert err < 1e-12, x.n
+
     def test_central_scalar(self):
         k = 2
         lam = UnitPhase.of(Fraction(2, 7))
