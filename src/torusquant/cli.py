@@ -7,8 +7,8 @@ QUANT_SEED, when set, overrides --seed.
 
 Matrices are serialized as nested [re, im] pairs; floats pass through
 shortest round-trip formatting so a reparse reproduces them bit for bit.
-Exact entries, when available, carry the squared prefactor and the phase
-terms as exact rational strings.
+Exact entries carry the squared prefactor and the phase terms as exact
+rational strings.
 """
 
 from __future__ import annotations
@@ -38,14 +38,19 @@ from .verify import SUITES, run_suites
 # parsing helpers
 
 
-def _parse_rows(text: str, g: int) -> list[list[int]]:
-    rows = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
-    out = []
-    for chunk in rows:
+def _int_rows(text: str):
+    """The integer rows of ';'-separated text, one at a time."""
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
         try:
             vals = [int(x) for x in chunk.replace(",", " ").split()]
         except ValueError as exc:
             raise DimensionMismatch(f"cannot parse integer row: {chunk!r}") from exc
+        yield vals
+
+
+def _parse_rows(text: str, g: int) -> list[list[int]]:
+    out = []
+    for vals in _int_rows(text):
         if len(vals) != 2 * g:
             raise DimensionMismatch(
                 f"row has {len(vals)} entries, expected 2g = {2 * g}"
@@ -55,11 +60,7 @@ def _parse_rows(text: str, g: int) -> list[list[int]]:
 
 
 def _parse_square(text: str, g: int) -> list[list[int]]:
-    rows = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
-    out = []
-    for chunk in rows:
-        vals = [int(x) for x in chunk.replace(",", " ").split()]
-        out.append(vals)
+    out = list(_int_rows(text))
     if len(out) != g or any(len(r) != g for r in out):
         raise DimensionMismatch(f"expected a {g} x {g} integer matrix")
     return out
@@ -97,13 +98,13 @@ def _matrix_doc(matrix: np.ndarray) -> list:
     return [[_complex_pair(z) for z in row] for row in matrix]
 
 
-def _exact_doc(exact) -> list | None:
-    if exact is None:
-        return None
+def _exact_doc(exact) -> list:
+    rows, cols = exact.live.shape
     out = []
-    for row in exact:
+    for r in range(rows):
         doc_row = []
-        for entry in row:
+        for c in range(cols):
+            entry = exact.entry(r, c)
             doc_row.append(
                 {
                     "amp2": str(entry.amp2),
@@ -203,7 +204,7 @@ def cmd_bks(args) -> int:
             "g": space.g,
             "k": args.k,
             "corrected": corrected,
-            "exact_available": inter.exact is not None,
+            "exact_available": True,
             "frames": {
                 "source": _basis_doc(inter.source.pol.basis),
                 "target": _basis_doc(inter.target.pol.basis),

@@ -590,10 +590,6 @@ class PhaseSum:
     def zero(cls) -> "PhaseSum":
         return cls(Fraction(1), ())
 
-    @classmethod
-    def unit(cls, phase: UnitPhase, amp2=1) -> "PhaseSum":
-        return cls.build(amp2, [(phase.t, 1)])
-
     @property
     def nterms(self) -> int:
         return len(self.terms)
@@ -606,9 +602,6 @@ class PhaseSum:
             float(c) * cmath.exp(1j * math.pi * float(t)) for t, c in self.terms
         )
         return s / math.sqrt(float(self.amp2))
-
-    def times_phase(self, phase: UnitPhase) -> "PhaseSum":
-        return PhaseSum.build(self.amp2, [(t + phase.t, c) for t, c in self.terms])
 
     def __mul__(self, other: "PhaseSum") -> "PhaseSum":
         pairs = [

@@ -25,7 +25,6 @@ from .exact import (
     invariant_factors,
     left_kernel,
     multixgcd,
-    transpose,
     vec_add,
     vec_mat,
     vec_scale,
@@ -124,11 +123,6 @@ class Lagrangian:
     @property
     def is_full(self) -> bool:
         return self.rank == self.space.g
-
-    def transform(self, mat) -> "Lagrangian":
-        """Image under a column-convention linear map given by mat."""
-        mt = transpose(mat)
-        return Lagrangian.make(self.space, [vec_mat(r, mt) for r in self.gens])
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,15 @@
 pairing matrices between them, in closed form.
 
 A polarization carries an adapted integer symplectic frame; the k^g basis
-states are labeled by (Z/kZ)^g in lexicographic order.  Matrices come in two
-synchronized flavors: a complex floating backend (numpy) that is authoritative
-for tolerances, and an exact PhaseSum form whose entries are Gauss-type sums
-of unit phases with rational exponents.
+states are labeled by (Z/kZ)^g in lexicographic order.  Every pairing matrix
+and frame change is held exactly as a PhaseTable: each entry is a Gauss-type
+sum of unit phases e^{i pi n / den} with integer numerators n over one common
+denominator.  The complex floating matrix (numpy), authoritative for
+tolerances, is evaluated from that table in one place, PhaseTable.value().
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -123,32 +123,73 @@ def _labels(k: int, g: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(k), repeat=g))
 
 
-# beyond this many phase terms per entry the exact form is omitted and only
-# the floating backend is populated
-EXACT_TERM_LIMIT = 10_000
+@dataclass(frozen=True, eq=False)
+class PhaseTable:
+    """Exact entries of a matrix over one phase denominator.
+
+    Entry (r, c) is amp2^{-1/2} sum_j e^{i pi nums[r, c, j] / den} where
+    live[r, c] holds, and 0 elsewhere.  nums is an int64 array of shape
+    (rows, cols, terms) reduced mod 2 den; live is a boolean (rows, cols) mask.
+    """
+
+    amp2: int
+    den: int
+    nums: np.ndarray
+    live: np.ndarray
+
+    def value(self) -> np.ndarray:
+        unit = np.exp(1j * np.pi * (np.arange(self.den) / self.den))
+        # e^{i pi (t + 1)} = -e^{i pi t}, the fold PhaseSum makes, so that
+        # antipodal terms cancel exactly
+        unit = np.concatenate([unit, -unit])
+        sums = unit[self.nums].sum(axis=-1) / math.sqrt(self.amp2)
+        return np.where(self.live, sums, 0)
+
+    def entry(self, r: int, c: int) -> PhaseSum:
+        if not self.live[r, c]:
+            return PhaseSum.zero()
+        return PhaseSum.build(
+            self.amp2, [(Fraction(int(n), self.den), 1) for n in self.nums[r, c]]
+        )
+
+    def take(self, rows, cols) -> "PhaseTable":
+        """The table whose entry (i, j) is entry (rows[i], cols[j]) of this one."""
+        ix = np.ix_(rows, cols)
+        return PhaseTable(self.amp2, self.den, self.nums[ix], self.live[ix])
+
+    def times(self, row_t, col_t) -> "PhaseTable":
+        """Entry (r, c) multiplied by e^{i pi (row_t[r] + col_t[c])}, for
+        rational exponents; the denominator grows to hold them."""
+        ts = [Fraction(t) for t in (*row_t, *col_t)]
+        den = math.lcm(self.den, *(t.denominator for t in ts))
+        shift = np.array([int(t * den) % (2 * den) for t in ts], dtype=np.int64)
+        n = len(row_t)
+        shift = shift[:n, None, None] + shift[None, n:, None]
+        nums = self.nums * (den // self.den) + shift
+        return PhaseTable(self.amp2, den, nums % (2 * den), self.live)
 
 
 @dataclass(eq=False)
 class Intertwiner:
     """A unitary map between two Hilbert spaces, target-row indexed.
 
+    exact holds the entries; matrix is their float value, and
     matrix[i2][i1] is the coefficient of target state i2 in the image of
-    source state i1.  exact, when present, holds the same entries as
-    PhaseSum values.
+    source state i1.
     """
 
     source: HilbertSpace
     target: HilbertSpace
-    matrix: np.ndarray
-    exact: tuple | None = field(default=None, repr=False)
+    exact: PhaseTable = field(repr=False)
+    matrix: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.matrix = self.exact.value()
 
     def scaled(self, phase: UnitPhase) -> "Intertwiner":
-        ex = None
-        if self.exact is not None:
-            ex = tuple(
-                tuple(e.times_phase(phase) for e in row) for row in self.exact
-            )
-        return Intertwiner(self.source, self.target, self.matrix * phase.value(), ex)
+        rows, cols = self.exact.live.shape
+        exact = self.exact.times([phase.t] * rows, [0] * cols)
+        return Intertwiner(self.source, self.target, exact)
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -219,31 +260,45 @@ def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tupl
 # closed-form pairing matrices
 
 
-def _phase_table(k, d, adj, m1, m3, reps, labels):
-    """Exponent numerators of the pairing phase, over denominator d*k.
-
-    Returns {(i2, i1): [numerators]}, one numerator per coset representative.
-    """
-    den = d * k
-    shifted = {}
-    for i2, q2 in enumerate(labels):
-        per_l = []
-        for l in reps:
-            w = [q + k * li for q, li in zip(q2, l)]
-            adj_w = mat_vec(adj, w)
-            n3 = quad_form(w, m3, w)
-            per_l.append((adj_w, n3))
-        shifted[i2] = per_l
-    table = {}
-    for i1, q1 in enumerate(labels):
-        n1 = quad_form(q1, m1, q1)
-        for i2 in range(len(labels)):
-            nums = [
-                n1 - 2 * sum(a * b for a, b in zip(q1, adj_w)) - n3
-                for adj_w, n3 in shifted[i2]
-            ]
-            table[(i2, i1)] = nums
-    return table, den
+def _closed_form(h1, h2, h, blocks) -> Intertwiner:
+    """The pairing matrix from the leading h x h parts R, P, S of the pairing
+    blocks (omega(2,1), omega(2,1perp), omega(2perp,1)); transverse is h = g.
+    Entry (q2, q1) vanishes unless the labels agree past position h; else,
+    with a = q1[:h], it is |k^h d|^{-1/2} times the sum over w = q2[:h] + k l,
+    l in Z^h / R Z^h, of e^{(pi i/dk)(a^T M1 a - 2 a^T adj(R) w - w^T M3 w)},
+    where d = det R, M1 = adj(R) P and M3 = S adj(R)."""
+    k, g = h1.k, h1.g
+    r, p, s = ([row[:h] for row in b[:h]] for b in blocks)
+    d = det(r)
+    adj = adjugate(r)
+    m1 = mat_mul(adj, p)
+    m3 = mat_mul(s, adj)
+    reps = coset_reps(r)
+    den = abs(d) * k
+    sign = 1 if d > 0 else -1
+    # The per-label parts are Python ints, reduced mod den or 2 den before
+    # numpy sees them; every int64 intermediate then stays below
+    # (2hk + 4) den, so no table that fits in memory can overflow.
+    head = _labels(k, h)
+    n1 = [sign * quad_form(a, m1, a) % (2 * den) for a in head]
+    n3, adj_w = [], []
+    for q2 in head:
+        ws = [[q + k * li for q, li in zip(q2, l)] for l in reps]
+        n3.append([sign * quad_form(w, m3, w) % (2 * den) for w in ws])
+        adj_w.append([[sign * x % den for x in mat_vec(adj, w)] for w in ws])
+    head, n1, n3, adj_w = (np.array(x, dtype=np.int64) for x in (head, n1, n3, adj_w))
+    cross = np.einsum("ah,bjh->baj", head, adj_w)
+    nums = n1[None, :, None] - 2 * cross - n3[:, None, :]
+    # lexicographic labels: index = head index * k^(g-h) + tail index
+    idx = np.arange(k**g)
+    head_of, tail_of = np.divmod(idx, k ** (g - h))
+    exact = PhaseTable(
+        abs(k**h * d),
+        den,
+        nums[np.ix_(head_of, head_of)] % (2 * den),
+        tail_of[:, None] == tail_of[None, :],
+    )
+    return Intertwiner(h1, h2, exact)
 
 
 def bks_matrix_transverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
@@ -254,41 +309,12 @@ def bks_matrix_transverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     from the three pairing blocks of the two frames.
     """
     space = _common_space(h1, h2)
-    k, g = h1.k, h1.g
     b1, b2 = h1.pol.basis, h2.pol.basis
     om21 = space.block(b2.w, b1.w)
-    d = det(om21)
-    if d == 0:
+    if det(om21) == 0:
         raise NotTransverse("polarizations are not transverse")
-    adj = adjugate(om21)
-    m1 = mat_mul(adj, space.block(b2.w, b1.wperp))
-    m3 = mat_mul(space.block(b2.wperp, b1.w), adj)
-    reps = coset_reps(om21)
-    labels = _labels(k, g)
-    amp2 = Fraction(abs(k**g * d))
-    table, den = _phase_table(k, d, adj, m1, m3, reps, labels)
-    return _assemble(h1, h2, table, amp2, den, len(reps))
-
-
-def _assemble(h1, h2, table, amp2, den, nterms):
-    """Materialize the float matrix (and, under the term limit, the exact
-    PhaseSum matrix) from a table of phase numerators."""
-    dim_r, dim_c = h2.dim, h1.dim
-    with_exact = nterms <= EXACT_TERM_LIMIT
-    exact = [[PhaseSum.zero()] * dim_c for _ in range(dim_r)] if with_exact else None
-    matrix = np.zeros((dim_r, dim_c), dtype=complex)
-    norm = 1.0 / math.sqrt(float(amp2))
-    for (i2, i1), nums in table.items():
-        if with_exact:
-            entry = PhaseSum.build(amp2, [(Fraction(n, den), 1) for n in nums])
-            exact[i2][i1] = entry
-            matrix[i2, i1] = entry.value()
-        else:
-            acc = sum(
-                cmath.exp(1j * math.pi * float(Fraction(n, den) % 2)) for n in nums
-            )
-            matrix[i2, i1] = norm * acc
-    return Intertwiner(h1, h2, matrix, freeze(exact) if with_exact else None)
+    blocks = (om21, space.block(b2.w, b1.wperp), space.block(b2.wperp, b1.w))
+    return _closed_form(h1, h2, h1.g, blocks)
 
 
 def _pair_adapted_or_raise(h1, h2):
@@ -316,7 +342,7 @@ def bks_matrix_nontransverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     h x h reduced pairing blocks.  Identical polarizations give the identity.
     """
     space = _common_space(h1, h2)
-    k, g = h1.k, h1.g
+    g = h1.g
     l12, h = _pair_adapted_or_raise(h1, h2)
     b1, b2 = h1.pol.basis, h2.pol.basis
     om21 = space.block(b2.w, b1.w)
@@ -328,26 +354,9 @@ def bks_matrix_nontransverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
                 raise BasesNotPairAdapted("omega(2,1) is not in reduced block form")
             if (i >= h) != (j >= h) and (om21p[i][j] != 0 or om2p1[i][j] != 0):
                 raise BasesNotPairAdapted("mixed pairing blocks do not vanish")
-    red21 = [row[:h] for row in om21[:h]]
-    d = det(red21)
-    if d == 0:
+    if det([row[:h] for row in om21[:h]]) == 0:
         raise BasesNotPairAdapted("reduced block omega(2,1) is singular")
-    adj = adjugate(red21)
-    m1 = mat_mul(adj, [row[:h] for row in om21p[:h]])
-    m3 = mat_mul([row[:h] for row in om2p1[:h]], adj)
-    reps = coset_reps(red21)
-    labels = _labels(k, g)
-    amp2 = Fraction(abs(k**h * d))
-    head = _labels(k, h)
-    head_table, den = _phase_table(k, d, adj, m1, m3, reps, head)
-    head_index = {q: i for i, q in enumerate(head)}
-    table = {}
-    for i1, q1 in enumerate(labels):
-        for i2, q2 in enumerate(labels):
-            if q1[h:] != q2[h:]:
-                continue
-            table[(i2, i1)] = head_table[(head_index[q2[:h]], head_index[q1[:h]])]
-    return _assemble(h1, h2, table, amp2, den, len(reps))
+    return _closed_form(h1, h2, h, (om21, om21p, om2p1))
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +380,12 @@ class Monomial:
         matrix[np.arange(dim), self.cols] = [p.value() for p in self.phases]
         return matrix
 
-    def exact(self) -> tuple:
+    def table(self) -> PhaseTable:
         dim = len(self.cols)
-        rows = [[PhaseSum.zero()] * dim for _ in range(dim)]
-        for row, col, phase in zip(rows, self.cols, self.phases):
-            row[col] = PhaseSum.unit(phase)
-        return freeze(rows)
+        live = np.zeros((dim, dim), dtype=bool)
+        live[np.arange(dim), self.cols] = True
+        flat = PhaseTable(1, 1, np.zeros((dim, dim, 1), dtype=np.int64), live)
+        return flat.times([p.t for p in self.phases], [0] * dim)
 
 
 def _frame_change(
@@ -431,7 +440,7 @@ def rebase_unitary(
     m = _frame_change(pol, b1, b2, k)
     src = HilbertSpace(k, Polarization(pol.lag, b1))
     dst = HilbertSpace(k, Polarization(pol.lag, b2))
-    return Intertwiner(src, dst, m.dense(), m.exact())
+    return Intertwiner(src, dst, m.table())
 
 
 def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
@@ -453,16 +462,12 @@ def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     mid = bks_matrix_nontransverse(hp1, hp2)
     out = _frame_change(Polarization(l2, pb2), pb2, h2.pol.basis, k)
     back = _frame_change(Polarization(l1, h1.pol.basis), h1.pol.basis, pb1, k)
-    matrix = out.dense() @ mid.matrix @ back.dense()
-    if mid.exact is None:
-        return Intertwiner(h1, h2, matrix, None)
     # back is a permutation: rows[i1] is the row that holds column i1
-    rows = sorted(range(h1.dim), key=back.cols.__getitem__)
-    exact = [
-        [mid.exact[j2][jb].times_phase(phi * back.phases[jb]) for jb in rows]
-        for j2, phi in zip(out.cols, out.phases)
-    ]
-    return Intertwiner(h1, h2, matrix, freeze(exact))
+    rows = np.argsort(back.cols)
+    exact = mid.exact.take(out.cols, rows).times(
+        [p.t for p in out.phases], [back.phases[j].t for j in rows]
+    )
+    return Intertwiner(h1, h2, exact)
 
 
 def corrected_intertwiner(

@@ -162,7 +162,7 @@ def sp_pushforward(b: SpElement, space: HilbertSpace) -> Intertwiner:
     moved_basis = b.apply_basis(pol.basis)
     target = Polarization.canonical(moved_lag)
     reb = rebase_unitary(Polarization(moved_lag, moved_basis), moved_basis, target.basis, space.k)
-    return Intertwiner(space, HilbertSpace(space.k, target), reb.matrix, reb.exact)
+    return Intertwiner(space, HilbertSpace(space.k, target), reb.exact)
 
 
 def sp_operator(b: SpElement, space: HilbertSpace) -> RepMatrix:

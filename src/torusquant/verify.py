@@ -298,14 +298,14 @@ def brute_force_point_count(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> int:
 
 
 def exact_backend_defect(inter) -> float:
-    """Worst entrywise gap between the PhaseSum form and the float matrix."""
-    if inter.exact is None:
-        return 0.0
-    gap = 0.0
-    for i, row in enumerate(inter.exact):
-        for j, e in enumerate(row):
-            gap = max(gap, abs(e.value() - inter.matrix[i, j]))
-    return gap
+    """Worst entrywise gap between the exact phase table and the float matrix,
+    on a route of its own: exponents folded into [0, den) with a sign and
+    looked up in a phase list built with cmath, not PhaseTable.value()."""
+    ex = inter.exact
+    unit = np.array([cmath.exp(1j * math.pi * n / ex.den) for n in range(ex.den)])
+    sign = np.where(ex.nums < ex.den, 1, -1)
+    sums = (sign * unit[ex.nums % ex.den]).sum(axis=-1) / math.sqrt(ex.amp2)
+    return float(np.abs(np.where(ex.live, sums, 0) - inter.matrix).max())
 
 
 # ---------------------------------------------------------------------------

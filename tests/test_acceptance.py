@@ -5,8 +5,6 @@ and tolerance (desk scale: g in {1, 2}, k in {2, 4}) and prints a one line
 pass/fail summary.
 """
 
-import pytest
-
 from torusquant.verify import (
     suite_corrected,
     suite_counting,

@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from torusquant.cli import main
 
@@ -130,6 +129,16 @@ class TestRepCommand:
         code, _, err = run_cli(capsys, "rep", "--g", "1", "--k", "2", "--kind", "beta")
         assert code == 2
         assert json.loads(err)["error"] == "DimensionMismatch"
+
+    def test_malformed_matrix_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "rep", "--g", "1", "--k", "4", "--kind", "beta", "--matrix", "x"
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DimensionMismatch",
+            "message": "cannot parse integer row: 'x'",
+        }
 
     def test_metaplectic_epsilon(self, capsys):
         code, out, _ = run_cli(

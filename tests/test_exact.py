@@ -20,7 +20,6 @@ from torusquant.exact import (
     signature,
     snf,
     solve,
-    vec_sub,
     xgcd,
 )
 from torusquant.errors import NotSymmetric, OddModulus, SingularMatrix

@@ -2,9 +2,12 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusquant.errors import (
     BasesNotPairAdapted,
@@ -14,7 +17,16 @@ from torusquant.errors import (
     OddModulus,
     TransverseInput,
 )
-from torusquant.exact import UnitPhase, det
+from torusquant.exact import (
+    PhaseSum,
+    UnitPhase,
+    adjugate,
+    coset_reps,
+    det,
+    mat_mul,
+    mat_vec,
+    quad_form,
+)
 from torusquant.lattice import (
     AdaptedBasis,
     Lagrangian,
@@ -23,7 +35,7 @@ from torusquant.lattice import (
     intersect,
     pair_adapted_bases,
 )
-from torusquant.maslov import LagrangianLift, triple_index
+from torusquant.maslov import LagrangianLift, maslov_index, triple_index
 from torusquant.quantize import (
     STACK_INV_CACHE_SIZE,
     HilbertSpace,
@@ -33,6 +45,7 @@ from torusquant.quantize import (
     bks_matrix_transverse,
     corrected_intertwiner,
     frame_potential,
+    _frame_change,
     _stack_inv,
     intersection_points,
     rebase_unitary,
@@ -194,9 +207,9 @@ class TestTransverseMatrix:
 
     def test_exact_form_populated(self):
         f = bks_matrix_transverse(hilbert(L_E1, 2), hilbert(L_SLANT, 2))
-        assert f.exact is not None
+        assert f.exact.amp2 == 2 * 2
         assert exact_backend_defect(f) < 1e-14
-        assert all(e.amp2 == 2 * 2 for row in f.exact for e in row)
+        assert all(f.exact.entry(r, c).amp2 == 2 * 2 for r in range(2) for c in range(2))
 
 
 class TestNontransverseMatrix:
@@ -404,3 +417,144 @@ class TestCorrected:
         assert abs(ratio - 1j) < 1e-12
         f_full = corrected_intertwiner(l1.shifted(2), l2, 2)
         assert np.abs(f_full.matrix + f.matrix).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-entry PhaseSum route that the phase tables replaced, kept as the
+# slow exact reference
+
+
+def _reference_phase_table(k, d, adj, m1, m3, reps, labels):
+    """Exponent numerators of the pairing phase, over denominator d*k.
+
+    Returns {(i2, i1): [numerators]}, one numerator per coset representative.
+    """
+    den = d * k
+    shifted = {}
+    for i2, q2 in enumerate(labels):
+        per_l = []
+        for l in reps:
+            w = [q + k * li for q, li in zip(q2, l)]
+            adj_w = mat_vec(adj, w)
+            n3 = quad_form(w, m3, w)
+            per_l.append((adj_w, n3))
+        shifted[i2] = per_l
+    table = {}
+    for i1, q1 in enumerate(labels):
+        n1 = quad_form(q1, m1, q1)
+        for i2 in range(len(labels)):
+            nums = [
+                n1 - 2 * sum(a * b for a, b in zip(q1, adj_w)) - n3
+                for adj_w, n3 in shifted[i2]
+            ]
+            table[(i2, i1)] = nums
+    return table, den
+
+
+def _reference_pairing(h1, h2, h):
+    """PhaseSum rows of the pairing between frames that share their trailing
+    g - h pairs (h = g: transverse)."""
+    space, k = h1.pol.space, h1.k
+    b1, b2 = h1.pol.basis, h2.pol.basis
+    om21p = space.block(b2.w, b1.wperp)
+    om2p1 = space.block(b2.wperp, b1.w)
+    red21 = [row[:h] for row in space.block(b2.w, b1.w)[:h]]
+    d = det(red21)
+    adj = adjugate(red21)
+    m1 = mat_mul(adj, [row[:h] for row in om21p[:h]])
+    m3 = mat_mul([row[:h] for row in om2p1[:h]], adj)
+    head = list(product(range(k), repeat=h))
+    head_table, den = _reference_phase_table(k, d, adj, m1, m3, coset_reps(red21), head)
+    head_index = {q: i for i, q in enumerate(head)}
+    amp2 = Fraction(abs(k**h * d))
+    rows = [[PhaseSum.zero()] * h1.dim for _ in range(h2.dim)]
+    for i1, q1 in enumerate(h1.labels):
+        for i2, q2 in enumerate(h2.labels):
+            if q1[h:] == q2[h:]:
+                nums = head_table[(head_index[q2[:h]], head_index[q1[:h]])]
+                rows[i2][i1] = PhaseSum.build(amp2, [(Fraction(n, den), 1) for n in nums])
+    return rows
+
+
+def _times_phase(entry, phase):
+    return PhaseSum.build(entry.amp2, [(t + phase.t, c) for t, c in entry.terms])
+
+
+def _reference_bks(h1, h2):
+    l1, l2 = h1.pol.lag, h2.pol.lag
+    s = intersect(l1, l2).rank
+    if s == 0:
+        return _reference_pairing(h1, h2, h1.g)
+    k = h1.k
+    pb1, pb2 = pair_adapted_bases(l1, l2)
+    hp1 = HilbertSpace(k, Polarization(l1, pb1))
+    hp2 = HilbertSpace(k, Polarization(l2, pb2))
+    mid = _reference_pairing(hp1, hp2, h1.g - s)
+    out = _frame_change(Polarization(l2, pb2), pb2, h2.pol.basis, k)
+    back = _frame_change(Polarization(l1, h1.pol.basis), h1.pol.basis, pb1, k)
+    rows = sorted(range(h1.dim), key=back.cols.__getitem__)
+    return [
+        [_times_phase(mid[j2][jb], phi * back.phases[jb]) for jb in rows]
+        for j2, phi in zip(out.cols, out.phases)
+    ]
+
+
+def _reference_corrected(lift1, lift2, k):
+    phase = UnitPhase.of(-Fraction(maslov_index(lift2, lift1, 4), 4))
+    rows = _reference_bks(hilbert(lift1.lag, k), hilbert(lift2.lag, k))
+    return [[_times_phase(e, phase) for e in row] for row in rows]
+
+
+def _assert_matches_reference(inter, rows):
+    assert inter.exact.live.shape == (len(rows), len(rows[0]))
+    for r, row in enumerate(rows):
+        for c, want in enumerate(row):
+            assert inter.exact.entry(r, c) == want, (r, c)
+            assert abs(inter.matrix[r, c] - want.value()) < 1e-12, (r, c)
+
+
+class TestAgainstPhaseSumReference:
+    @pytest.mark.parametrize("g,k", [(1, 2), (1, 4), (2, 2), (2, 4)])
+    def test_desk_grid(self, g, k):
+        rng = random.Random(100 * g + k)
+        space = SP1 if g == 1 else SP2
+        kinds = set()
+        for _ in range(8):
+            l1, l2 = random_pair(rng, space)
+            h1, h2 = hilbert(l1, k), hilbert(l2, k)
+            if intersect(l1, l2).rank:
+                kinds.add("nontransverse")
+                _assert_matches_reference(bks_matrix(h1, h2), _reference_bks(h1, h2))
+                # twisted frames give both frame changes nontrivial phases
+                h1t = HilbertSpace(k, Polarization(l1, _twisted_frame(rng, h1.pol.basis)))
+                h2t = HilbertSpace(k, Polarization(l2, _twisted_frame(rng, h2.pol.basis)))
+                _assert_matches_reference(bks_matrix(h1t, h2t), _reference_bks(h1t, h2t))
+            else:
+                kinds.add("transverse")
+                _assert_matches_reference(
+                    bks_matrix_transverse(h1, h2), _reference_pairing(h1, h2, g)
+                )
+            base = random_lagrangian(rng, space)
+            lift1, lift2 = random_lift(rng, base, l1), random_lift(rng, base, l2)
+            _assert_matches_reference(
+                corrected_intertwiner(lift1, lift2, k), _reference_corrected(lift1, lift2, k)
+            )
+        assert kinds == {"transverse", "nontransverse"}
+
+    @given(
+        st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda v: math.gcd(*v) == 1),
+        st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda v: math.gcd(*v) == 1),
+        st.sampled_from((2, 4, 6)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_g1_pairs(self, v1, v2, k):
+        h1 = hilbert(Lagrangian.make(SP1, [v1]), k)
+        h2 = hilbert(Lagrangian.make(SP1, [v2]), k)
+        _assert_matches_reference(bks_matrix(h1, h2), _reference_bks(h1, h2))
+
+    def test_many_terms_per_entry(self):
+        # |det omega21| = 10001 phase terms per entry
+        h1, h2 = hilbert(L_E1, 2), hilbert(Lagrangian.make(SP1, [[1, 10001]]), 2)
+        f = bks_matrix(h1, h2)
+        assert f.exact.nums.shape == (2, 2, 10001)
+        _assert_matches_reference(f, _reference_bks(h1, h2))
