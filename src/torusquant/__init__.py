@@ -22,6 +22,7 @@ from .errors import (
     OddModulus,
     SingularMatrix,
     SpaceMismatch,
+    TooLarge,
     TorusQuantError,
     TransverseInput,
 )
@@ -70,7 +71,6 @@ from .quantize import (
 )
 from .representations import (
     HeisenbergElement,
-    RepMatrix,
     heisenberg_identity,
     heisenberg_in_frame,
     heisenberg_matrix,

@@ -67,3 +67,7 @@ class BaseMismatch(TorusQuantError):
 
 class FrameMismatch(TorusQuantError):
     pass
+
+
+class TooLarge(TorusQuantError):
+    pass

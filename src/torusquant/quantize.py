@@ -27,6 +27,7 @@ from .errors import (
     NotTransverse,
     OddModulus,
     SpaceMismatch,
+    TooLarge,
     TransverseInput,
 )
 from .exact import (
@@ -82,6 +83,11 @@ class Polarization:
         return self.lag.space
 
 
+def _check_level(k: int) -> None:
+    if k < 2 or k % 2:
+        raise OddModulus("the level k must be a positive even integer")
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """The k^g dimensional quantization attached to a polarization frame."""
@@ -90,8 +96,7 @@ class HilbertSpace:
     pol: Polarization
 
     def __post_init__(self):
-        if self.k < 2 or self.k % 2:
-            raise OddModulus("the level k must be a positive even integer")
+        _check_level(self.k)
 
     @property
     def g(self) -> int:
@@ -116,6 +121,16 @@ class HilbertSpace:
 # new frames; a pairing or operator call needs one or two entries at a time.
 LABELS_CACHE_SIZE = 16
 STACK_INV_CACHE_SIZE = 256
+
+
+# Largest phase table (k^2g entries times the terms per entry) a call may
+# build; it is checked before any label or coset is enumerated.
+MAX_TABLE_TERMS = 2**22
+
+
+def _check_budget(terms: int) -> None:
+    if terms > MAX_TABLE_TERMS:
+        raise TooLarge(f"table of {terms} phase terms exceeds {MAX_TABLE_TERMS}")
 
 
 @lru_cache(maxsize=LABELS_CACHE_SIZE)
@@ -162,11 +177,18 @@ class PhaseTable:
         rational exponents; the denominator grows to hold them."""
         ts = [Fraction(t) for t in (*row_t, *col_t)]
         den = math.lcm(self.den, *(t.denominator for t in ts))
-        shift = np.array([int(t * den) % (2 * den) for t in ts], dtype=np.int64)
+        shift = [t.numerator * (den // t.denominator) % (2 * den) for t in ts]
+        shift = np.array(shift, dtype=np.int64)
         n = len(row_t)
         shift = shift[:n, None, None] + shift[None, n:, None]
         nums = self.nums * (den // self.den) + shift
         return PhaseTable(self.amp2, den, nums % (2 * den), self.live)
+
+    def between(self, out: "Monomial", back: "Monomial") -> "PhaseTable":
+        """The table of the product out . self . back with two monomials."""
+        # back is a permutation: rows[j] is the row that holds column j
+        rows = np.argsort(back.cols)
+        return self.take(out.cols, rows).times(out.exps, [back.exps[j] for j in rows])
 
 
 @dataclass(eq=False)
@@ -270,6 +292,7 @@ def _closed_form(h1, h2, h, blocks) -> Intertwiner:
     k, g = h1.k, h1.g
     r, p, s = ([row[:h] for row in b[:h]] for b in blocks)
     d = det(r)
+    _check_budget(k ** (2 * g) * abs(d))
     adj = adjugate(r)
     m1 = mat_mul(adj, p)
     m3 = mat_mul(s, adj)
@@ -365,27 +388,20 @@ def bks_matrix_nontransverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
 
 @dataclass(frozen=True)
 class Monomial:
-    """A permutation matrix times unit phases: row i holds phases[i] in
-    column cols[i] and zeros elsewhere.
+    """A permutation matrix times unit phases: row i holds e^{i pi exps[i]}
+    in column cols[i] and zeros elsewhere, with rational exponents.
 
     Frame changes and the Heisenberg translation operators have this form.
     """
 
     cols: tuple[int, ...]
-    phases: tuple[UnitPhase, ...]
-
-    def dense(self) -> np.ndarray:
-        dim = len(self.cols)
-        matrix = np.zeros((dim, dim), dtype=complex)
-        matrix[np.arange(dim), self.cols] = [p.value() for p in self.phases]
-        return matrix
+    exps: tuple[Fraction, ...]
 
     def table(self) -> PhaseTable:
         dim = len(self.cols)
-        live = np.zeros((dim, dim), dtype=bool)
-        live[np.arange(dim), self.cols] = True
+        live = np.array(self.cols)[:, None] == np.arange(dim)
         flat = PhaseTable(1, 1, np.zeros((dim, dim, 1), dtype=np.int64), live)
-        return flat.times([p.t for p in self.phases], [0] * dim)
+        return flat.times(self.exps, [0] * dim)
 
 
 def _frame_change(
@@ -397,6 +413,7 @@ def _frame_change(
         if hnf_rows(b.w) != lag.gens:
             raise BasisMismatch("frame is not adapted to the polarization")
     g = lag.space.g
+    _check_budget(k ** (2 * g))
     inv1 = _stack_inv(b1)
     c_rows = []
     for row in b2.w:
@@ -419,10 +436,8 @@ def _frame_change(
     labels = _labels(k, g)
     index = {q: i for i, q in enumerate(labels)}
     cols = tuple(index[tuple(x % k for x in mat_vec(c_inv, q2))] for q2 in labels)
-    phases = tuple(
-        UnitPhase.of(-Fraction(quad_form(q2, s_mat, q2), k)) for q2 in labels
-    )
-    return Monomial(cols, phases)
+    exps = tuple(-Fraction(quad_form(q2, s_mat, q2), k) for q2 in labels)
+    return Monomial(cols, exps)
 
 
 def rebase_unitary(
@@ -462,12 +477,7 @@ def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     mid = bks_matrix_nontransverse(hp1, hp2)
     out = _frame_change(Polarization(l2, pb2), pb2, h2.pol.basis, k)
     back = _frame_change(Polarization(l1, h1.pol.basis), h1.pol.basis, pb1, k)
-    # back is a permutation: rows[i1] is the row that holds column i1
-    rows = np.argsort(back.cols)
-    exact = mid.exact.take(out.cols, rows).times(
-        [p.t for p in out.phases], [back.phases[j].t for j in rows]
-    )
-    return Intertwiner(h1, h2, exact)
+    return Intertwiner(h1, h2, mid.exact.between(out, back))
 
 
 def corrected_intertwiner(

@@ -1,17 +1,16 @@
 """Finite Heisenberg group action, the projective integer-symplectic
 representation, and its genuine metaplectic resolution on the quantization.
 
-Group elements act through translation operators on the invariant sections;
-all phase bookkeeping is exact (UnitPhase) and only the final matrices are
-floating complex.
+Every operator is an Intertwiner over an exact PhaseTable: the Heisenberg
+translations are monomials (a permutation times unit phases), U(b) is the
+pairing matrix composed with the pushforward monomial, and U(b, z) adds one
+central phase.  The float matrices come only from PhaseTable.value().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import BaseMismatch, DimensionMismatch, FrameMismatch
 from .exact import UnitPhase, vec_mat, vec_sub
@@ -22,9 +21,11 @@ from .quantize import (
     Intertwiner,
     Monomial,
     Polarization,
+    _check_budget,
+    _check_level,
+    _frame_change,
     _stack_inv,
     bks_matrix,
-    rebase_unitary,
 )
 
 
@@ -43,6 +44,7 @@ class HeisenbergElement:
     frame: Polarization
 
     def __post_init__(self):
+        _check_level(self.k)
         if len(self.n) != self.frame.space.dim:
             raise DimensionMismatch("coordinate vector must have length 2g")
         object.__setattr__(self, "n", tuple(x % self.k for x in self.n))
@@ -109,7 +111,7 @@ def heisenberg_in_frame(x: HeisenbergElement, frame: Polarization) -> Heisenberg
     return HeisenbergElement(k, x.phase * UnitPhase.of(t), n2, frame)
 
 
-def heisenberg_matrix(x: HeisenbergElement, space: HilbertSpace) -> "RepMatrix":
+def heisenberg_matrix(x: HeisenbergElement, space: HilbertSpace) -> Intertwiner:
     """The unitary action on the labeled standard basis, in closed form.
 
     With a = n[:g] (leaf components) and b = n[g:] (transverse components),
@@ -125,35 +127,29 @@ def heisenberg_matrix(x: HeisenbergElement, space: HilbertSpace) -> "RepMatrix":
     """
     if space.pol != x.frame or space.k != x.k:
         raise FrameMismatch("element frame does not match the Hilbert space")
+    _check_budget(space.dim**2)
     k, g = x.k, space.g
     a, b = x.n[:g], x.n[g:]
     ab = sum(ai * bi for ai, bi in zip(a, b))
-    cols, phases = [], []
+    cols, exps = [], []
     for p in space.labels:
         cols.append(space.label_index([pi - bi for pi, bi in zip(p, b)]))
         ap = sum(ai * pi for ai, pi in zip(a, p))
-        phases.append(x.phase * UnitPhase.of(Fraction(2 * ap - ab, k)))
-    return RepMatrix(space, Monomial(tuple(cols), tuple(phases)).dense())
-
-
-@dataclass(eq=False)
-class RepMatrix:
-    """A unitary operator on one Hilbert space, in its labeled basis."""
-
-    space: HilbertSpace
-    matrix: np.ndarray
+        exps.append(x.phase.t + Fraction(2 * ap - ab, k))
+    return Intertwiner(space, space, Monomial(tuple(cols), tuple(exps)).table())
 
 
 # ---------------------------------------------------------------------------
 # symplectic and metaplectic operators
 
 
-def sp_pushforward(b: SpElement, space: HilbertSpace) -> Intertwiner:
-    """The geometric pushforward H_P -> H_{bP}, landing in canonical frames.
+def _pushforward(b: SpElement, space: HilbertSpace) -> tuple[HilbertSpace, Monomial]:
+    """The canonical-frame Hilbert space of bP and the pushforward monomial
+    H_P -> H_{bP}.
 
     In the image frame b.(W; Wperp) the pushforward is the identity
-    permutation of labels; a frame change unitary then moves it to the
-    canonical frame of bP.
+    permutation of labels; the frame change to the canonical frame of bP
+    makes it a monomial.
     """
     pol = space.pol
     if b.space != pol.space:
@@ -161,25 +157,31 @@ def sp_pushforward(b: SpElement, space: HilbertSpace) -> Intertwiner:
     moved_lag = b.apply_lagrangian(pol.lag)
     moved_basis = b.apply_basis(pol.basis)
     target = Polarization.canonical(moved_lag)
-    reb = rebase_unitary(Polarization(moved_lag, moved_basis), moved_basis, target.basis, space.k)
-    return Intertwiner(space, HilbertSpace(space.k, target), reb.exact)
+    push = _frame_change(Polarization(moved_lag, moved_basis), moved_basis, target.basis, space.k)
+    return HilbertSpace(space.k, target), push
 
 
-def sp_operator(b: SpElement, space: HilbertSpace) -> RepMatrix:
+def sp_pushforward(b: SpElement, space: HilbertSpace) -> Intertwiner:
+    """The geometric pushforward H_P -> H_{bP}, landing in canonical frames."""
+    target, push = _pushforward(b, space)
+    return Intertwiner(space, target, push.table())
+
+
+def sp_operator(b: SpElement, space: HilbertSpace) -> Intertwiner:
     """U(b) = (pairing map back from H_{bP}) composed with the pushforward.
 
     A projective representation: U(b) U(b') equals U(bb') up to the
     eighth-root-of-unity cocycle fixed by the triple index.
     """
-    push = sp_pushforward(b, space)
-    pairing = bks_matrix(push.target, space)
-    return RepMatrix(space, pairing.matrix @ push.matrix)
+    target, push = _pushforward(b, space)
+    pairing = bks_matrix(target, space)
+    identity = Monomial(tuple(range(space.dim)), (Fraction(0),) * space.dim)
+    return Intertwiner(space, space, pairing.exact.between(identity, push))
 
 
-def mp_operator(x: MpElement, space: HilbertSpace) -> RepMatrix:
+def mp_operator(x: MpElement, space: HilbertSpace) -> Intertwiner:
     """U(b, z) = e^{(pi i/4) z} U(b); a genuine unitary representation of
     the integer metaplectic group on the fixed Hilbert space."""
     if x.base != space.pol.lag:
         raise BaseMismatch("element base does not match the Hilbert space")
-    u = sp_operator(x.b, space)
-    return RepMatrix(space, UnitPhase.of(Fraction(x.z, 4)).value() * u.matrix)
+    return sp_operator(x.b, space).scaled(UnitPhase.of(Fraction(x.z, 4)))

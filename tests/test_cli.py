@@ -86,6 +86,15 @@ class TestBksCommand:
         assert reparsed["matrix"] == doc1["matrix"]
 
 
+    def test_too_large_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bks", "--g", "1", "--k", "2",
+            "--lagrangian", "1 0", "--lagrangian", "1 1073741824",
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "TooLarge"
+
+
 class TestMaslovCommand:
     def test_tau_zero_on_repeat(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusquant.errors import (
     DimensionMismatch,
@@ -197,3 +199,34 @@ class TestPairAdapted:
         b2 = adapted_basis(lag(SP1, (0, 1)))
         assert b2.w == ((0, 1),) and b2.wperp == ((-1, 0),)
         assert SP1.block(b2.w, b1.w) == ((-1,),)
+
+
+class TestLatticeProperties:
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 2**32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_adapted_basis_is_symplectic_and_spans(self, g, seed, data):
+        space = SymplecticSpace.standard(g)
+        rank = data.draw(st.integers(0, g))
+        lag_ = random_lagrangian(random.Random(seed), space, rank=rank)
+        b = adapted_basis(lag_)
+        gram = [list(r) for r in space.gram]
+        assert mat_mul(mat_mul(b.stack, gram), transpose(b.stack)) == gram
+        assert abs(det(b.stack)) == 1
+        assert hnf_rows(b.w[:rank]) == lag_.gens
+
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 2**32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_adapted_bases_share_the_intersection(self, g, seed, data):
+        space = SymplecticSpace.standard(g)
+        rng = random.Random(seed)
+        l1 = random_lagrangian(rng, space)
+        shared = data.draw(st.integers(0, g))
+        l2 = random_lagrangian(rng, space, contains=l1.gens[:shared])
+        b1, b2 = pair_adapted_bases(l1, l2)
+        meet = intersect(l1, l2)
+        h = g - meet.rank
+        assert b1.w[h:] == b2.w[h:]
+        assert b1.wperp[h:] == b2.wperp[h:]
+        assert hnf_rows(b1.w[h:]) == meet.gens
+        assert hnf_rows(b1.w) == l1.gens
+        assert hnf_rows(b2.w) == l2.gens

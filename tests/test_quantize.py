@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from torusquant.errors import (
     DimensionMismatch,
     NotTransverse,
     OddModulus,
+    TooLarge,
     TransverseInput,
 )
 from torusquant.exact import (
@@ -385,6 +387,27 @@ class TestDispatch:
             bks_matrix(hilbert(L_E1, 2), hilbert(L_E2, 4))
 
 
+class TestTableBudget:
+    @pytest.mark.parametrize(
+        "g,k,rows1,rows2",
+        [
+            # 64^6 entries of one term each
+            (3, 64, [[int(j == i) for j in range(6)] for i in range(3)],
+             [[int(j == i + 3) for j in range(6)] for i in range(3)]),
+            # 4 entries of 2^30 terms each
+            (1, 2, [[1, 0]], [[1, 2**30]]),
+        ],
+    )
+    def test_rejected_before_enumeration(self, g, k, rows1, rows2):
+        space = SymplecticSpace.standard(g)
+        h1 = hilbert(Lagrangian.make(space, rows1), k)
+        h2 = hilbert(Lagrangian.make(space, rows2), k)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            bks_matrix(h1, h2)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestCorrected:
     def test_equal_lifts_identity(self):
         lift = LagrangianLift(L_E1, L_SLANT, 1, 4)
@@ -493,9 +516,11 @@ def _reference_bks(h1, h2):
     out = _frame_change(Polarization(l2, pb2), pb2, h2.pol.basis, k)
     back = _frame_change(Polarization(l1, h1.pol.basis), h1.pol.basis, pb1, k)
     rows = sorted(range(h1.dim), key=back.cols.__getitem__)
+    out_phases = [UnitPhase.of(t) for t in out.exps]
+    back_phases = [UnitPhase.of(t) for t in back.exps]
     return [
-        [_times_phase(mid[j2][jb], phi * back.phases[jb]) for jb in rows]
-        for j2, phi in zip(out.cols, out.phases)
+        [_times_phase(mid[j2][jb], phi * back_phases[jb]) for jb in rows]
+        for j2, phi in zip(out.cols, out_phases)
     ]
 
 

@@ -6,8 +6,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torusquant.errors import BaseMismatch, FrameMismatch
+from torusquant.errors import BaseMismatch, FrameMismatch, OddModulus, TooLarge
 from torusquant.exact import UnitPhase
 from torusquant.lattice import Lagrangian, SymplecticSpace, adapted_basis
 from torusquant.maslov import SpElement, mp_generator, mp_mul, triple_index
@@ -22,7 +24,13 @@ from torusquant.representations import (
     sp_operator,
     sp_pushforward,
 )
-from torusquant.verify import random_lagrangian, random_mp_word, random_pair
+from torusquant.verify import (
+    exact_backend_defect,
+    random_lagrangian,
+    random_mp_word,
+    random_pair,
+    random_sp,
+)
 
 SP1 = SymplecticSpace.standard(1)
 SP2 = SymplecticSpace.standard(2)
@@ -62,6 +70,66 @@ def generator_product(x, space):
     return (x.phase * rebuilt.phase.conj()).value() * acc
 
 
+def dense_heisenberg(x, space):
+    """Reference Heisenberg operator: the closed-form monomial filled into a
+    dense matrix entry by entry, each phase evaluated as a UnitPhase."""
+    k, g = x.k, space.g
+    a, b = x.n[:g], x.n[g:]
+    ab = sum(ai * bi for ai, bi in zip(a, b))
+    matrix = np.zeros((space.dim, space.dim), dtype=complex)
+    for row, p in enumerate(space.labels):
+        col = space.label_index([pi - bi for pi, bi in zip(p, b)])
+        ap = sum(ai * pi for ai, pi in zip(a, p))
+        matrix[row, col] = (x.phase * UnitPhase.of(Fraction(2 * ap - ab, k))).value()
+    return matrix
+
+
+def dense_sp(b, space):
+    """Reference U(b): the dense product of the pairing and the pushforward."""
+    push = sp_pushforward(b, space)
+    return bks_matrix(push.target, space).matrix @ push.matrix
+
+
+def dense_mp(x, space):
+    """Reference U(b, z): the central phase applied as one float scalar."""
+    return UnitPhase.of(Fraction(x.z, 4)).value() * dense_sp(x.b, space)
+
+
+def assert_matches_dense(op, reference):
+    assert op.exact.live.shape == reference.shape
+    assert np.abs(op.matrix - reference).max() < 1e-12
+    assert exact_backend_defect(op) <= 1e-12
+
+
+class TestAgainstDenseRoutes:
+    @pytest.mark.parametrize("g,k", [(1, 2), (1, 4), (2, 2), (2, 4), (2, 8), (1, 64)])
+    def test_seeded(self, g, k):
+        rng = random.Random(1000 * g + k)
+        space = SymplecticSpace.standard(g)
+        for _ in range(3):
+            pol = Polarization.canonical(random_lagrangian(rng, space))
+            hs = HilbertSpace(k, pol)
+            for _ in range(4):
+                x = random_heis(rng, k, pol)
+                assert_matches_dense(heisenberg_matrix(x, hs), dense_heisenberg(x, hs))
+            b = random_sp(rng, pol.basis, rng.randrange(1, 5))
+            assert_matches_dense(sp_operator(b, hs), dense_sp(b, hs))
+            w = random_mp_word(rng, pol.basis, rng.randrange(1, 5))
+            assert_matches_dense(mp_operator(w, hs), dense_mp(w, hs))
+
+    @given(st.integers(0, 2**32), st.sampled_from((2, 4, 6, 8)))
+    @settings(max_examples=40, deadline=None)
+    def test_g1(self, seed, k):
+        rng = random.Random(seed)
+        pol = Polarization.canonical(random_lagrangian(rng, SP1))
+        hs = HilbertSpace(k, pol)
+        x = random_heis(rng, k, pol)
+        assert_matches_dense(heisenberg_matrix(x, hs), dense_heisenberg(x, hs))
+        w = random_mp_word(rng, pol.basis, rng.randrange(1, 6))
+        assert_matches_dense(sp_operator(w.b, hs), dense_sp(w.b, hs))
+        assert_matches_dense(mp_operator(w, hs), dense_mp(w, hs))
+
+
 class TestHeisenbergGroup:
     def test_central_elements_multiply_phases(self):
         k = 2
@@ -98,6 +166,11 @@ class TestHeisenbergGroup:
         x = HeisenbergElement.of(k, (3, 1), POL1)
         assert heisenberg_mul(e, x) == x
         assert heisenberg_mul(x, e) == x
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_level_must_be_positive_even(self, k):
+        with pytest.raises(OddModulus, match="positive even integer"):
+            HeisenbergElement.of(k, (1, 0), POL1)
 
     def test_frame_mismatch(self):
         x = HeisenbergElement.of(2, (1, 0), POL1)
@@ -312,6 +385,20 @@ class TestMpOperators:
         elem = mp_generator(other, "gamma")
         with pytest.raises(BaseMismatch):
             mp_operator(elem, hs)
+
+
+class TestTableBudget:
+    def test_operators_check_the_budget(self, monkeypatch):
+        # a 4 x 4 operator is a table of 16 phase terms
+        monkeypatch.setattr("torusquant.quantize.MAX_TABLE_TERMS", 15)
+        hs = HilbertSpace(4, POL1)
+        gamma = mp_generator(POL1.basis, "gamma")
+        with pytest.raises(TooLarge):
+            heisenberg_matrix(HeisenbergElement.of(4, (1, 1), POL1), hs)
+        with pytest.raises(TooLarge):
+            sp_pushforward(gamma.b, hs)
+        with pytest.raises(TooLarge):
+            mp_operator(gamma, hs)
 
 
 class TestCommutant:
