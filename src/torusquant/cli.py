@@ -3,7 +3,7 @@
 Subcommands: basis, bks, maslov, rep, verify.  Payload goes to stdout as
 JSON (default) or aligned text; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 input error.  The environment variable
-QUANT_SEED, when set, overrides --seed.
+QUANT_SEED, when set, overrides the --seed of verify.
 
 Matrices are serialized as nested [re, im] pairs; floats pass through
 shortest round-trip formatting so a reparse reproduces them bit for bit.
@@ -315,8 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="integer generator rows, e.g. '1 0' or '1 0 0 0; 0 1 0 0'",
         )
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=1e-9)
 
     p = sub.add_parser("basis", help="adapted integer symplectic basis of a Lagrangian")
     common(p, k_flag=False)

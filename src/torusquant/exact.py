@@ -547,9 +547,6 @@ class UnitPhase:
     def conj(self) -> "UnitPhase":
         return UnitPhase((-self.t) % 2)
 
-    def __pow__(self, n: int) -> "UnitPhase":
-        return UnitPhase((self.t * n) % 2)
-
     def value(self) -> complex:
         return cmath.exp(1j * math.pi * float(self.t))
 
@@ -589,10 +586,6 @@ class PhaseSum:
     @classmethod
     def zero(cls) -> "PhaseSum":
         return cls(Fraction(1), ())
-
-    @property
-    def nterms(self) -> int:
-        return len(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms

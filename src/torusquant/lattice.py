@@ -155,6 +155,15 @@ class AdaptedBasis:
     def stack(self) -> tuple[tuple[int, ...], ...]:
         return self.w + self.wperp
 
+    def coords(self, x) -> tuple:
+        """Frame coordinates (a; b) of x = sum a_i W_i + sum b_i Wperp_i.
+
+        The frame is symplectic, so they are pairings: a_i = omega(x, Wperp_i)
+        and b_i = omega(W_i, x); integer for lattice vectors.
+        """
+        om = self.space.omega
+        return tuple(om(x, v) for v in self.wperp) + tuple(om(u, x) for u in self.w)
+
     def span(self) -> Lagrangian:
         """The Lagrangian spanned by the W rows."""
         return Lagrangian.make(self.space, self.w)

@@ -37,10 +37,7 @@ from .exact import (
     coset_reps,
     det,
     frac_inv,
-    freeze,
     hnf_rows,
-    identity,
-    int_inv,
     mat_mul,
     mat_vec,
     quad_form,
@@ -117,10 +114,9 @@ class HilbertSpace:
         return idx
 
 
-# Bounds of the per-process caches below.  A long-lived process meets ever
-# new frames; a pairing or operator call needs one or two entries at a time.
+# Bound of the label cache below.  A long-lived process meets ever new
+# levels; a pairing or operator call needs one or two entries at a time.
 LABELS_CACHE_SIZE = 16
-STACK_INV_CACHE_SIZE = 256
 
 
 # Largest phase table (k^2g entries times the terms per entry) a call may
@@ -177,6 +173,8 @@ class PhaseTable:
         rational exponents; the denominator grows to hold them."""
         ts = [Fraction(t) for t in (*row_t, *col_t)]
         den = math.lcm(self.den, *(t.denominator for t in ts))
+        # value() tabulates 2 den unit phases
+        _check_budget(den)
         shift = [t.numerator * (den // t.denominator) % (2 * den) for t in ts]
         shift = np.array(shift, dtype=np.int64)
         n = len(row_t)
@@ -223,11 +221,6 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 # the adapted potential and Bohr-Sommerfeld intersection data
 
 
-@lru_cache(maxsize=STACK_INV_CACHE_SIZE)
-def _stack_inv(basis: AdaptedBasis):
-    return freeze(frac_inv(basis.stack))
-
-
 def frame_potential(pol: Polarization, x) -> Fraction:
     """Generating function of the frame-adapted symplectic potential.
 
@@ -235,7 +228,7 @@ def frame_potential(pol: Polarization, x) -> Fraction:
     vanishes at 0 and satisfies the lattice shift relations
     K(x + W) - K(x) = omega(W, x)/2 and K(x + Wperp) - K(x) = -omega(Wperp, x)/2.
     """
-    coords = vec_mat(x, _stack_inv(pol.basis))
+    coords = pol.basis.coords(x)
     g = pol.space.g
     return sum(
         (coords[i] * coords[g + i] for i in range(g)), Fraction(0)
@@ -282,16 +275,23 @@ def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tupl
 # closed-form pairing matrices
 
 
-def _closed_form(h1, h2, h, blocks) -> Intertwiner:
+def _closed_form(h1, h2, h) -> Intertwiner:
     """The pairing matrix from the leading h x h parts R, P, S of the pairing
-    blocks (omega(2,1), omega(2,1perp), omega(2perp,1)); transverse is h = g.
+    blocks (omega(2,1), omega(2,1perp), omega(2perp,1)) of the two frames;
+    transverse is h = g.
     Entry (q2, q1) vanishes unless the labels agree past position h; else,
     with a = q1[:h], it is |k^h d|^{-1/2} times the sum over w = q2[:h] + k l,
     l in Z^h / R Z^h, of e^{(pi i/dk)(a^T M1 a - 2 a^T adj(R) w - w^T M3 w)},
     where d = det R, M1 = adj(R) P and M3 = S adj(R)."""
     k, g = h1.k, h1.g
-    r, p, s = ([row[:h] for row in b[:h]] for b in blocks)
+    space, b1, b2 = h1.pol.space, h1.pol.basis, h2.pol.basis
+    r = space.block(b2.w[:h], b1.w[:h])
+    p = space.block(b2.w[:h], b1.wperp[:h])
+    s = space.block(b2.wperp[:h], b1.w[:h])
     d = det(r)
+    # pair-adapted frames always give a nonsingular R (h < g)
+    if d == 0:
+        raise NotTransverse("polarizations are not transverse")
     _check_budget(k ** (2 * g) * abs(d))
     adj = adjugate(r)
     m1 = mat_mul(adj, p)
@@ -331,29 +331,26 @@ def bks_matrix_transverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     unit phases over the cosets Z^g / omega(2,1) Z^g, with exponents built
     from the three pairing blocks of the two frames.
     """
-    space = _common_space(h1, h2)
-    b1, b2 = h1.pol.basis, h2.pol.basis
-    om21 = space.block(b2.w, b1.w)
-    if det(om21) == 0:
-        raise NotTransverse("polarizations are not transverse")
-    blocks = (om21, space.block(b2.w, b1.wperp), space.block(b2.wperp, b1.w))
-    return _closed_form(h1, h2, h1.g, blocks)
+    _common_space(h1, h2)
+    return _closed_form(h1, h2, h1.g)
 
 
-def _pair_adapted_or_raise(h1, h2):
-    space = h1.pol.space
+def _pair_adapted_or_raise(h1, h2) -> int:
+    """The number h of own pairs of two pair-adapted frames.
+
+    Sharing the trailing pairs, which span the intersection, puts the pairing
+    blocks in reduced form with a nonsingular leading block R.
+    """
     l12 = intersect(h1.pol.lag, h2.pol.lag)
-    s = l12.rank
-    if s == 0:
+    if l12.rank == 0:
         raise TransverseInput("use the transverse routine for transverse input")
-    g = space.g
-    h = g - s
+    h = h1.g - l12.rank
     b1, b2 = h1.pol.basis, h2.pol.basis
     if b1.w[h:] != b2.w[h:] or b1.wperp[h:] != b2.wperp[h:]:
         raise BasesNotPairAdapted("frames do not share the intersection pairs")
     if hnf_rows(b1.w[h:]) != l12.gens:
         raise BasesNotPairAdapted("shared frame rows do not span the intersection")
-    return l12, h
+    return h
 
 
 def bks_matrix_nontransverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
@@ -364,22 +361,8 @@ def bks_matrix_nontransverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     agree; the surviving block is the transverse formula for the leading
     h x h reduced pairing blocks.  Identical polarizations give the identity.
     """
-    space = _common_space(h1, h2)
-    g = h1.g
-    l12, h = _pair_adapted_or_raise(h1, h2)
-    b1, b2 = h1.pol.basis, h2.pol.basis
-    om21 = space.block(b2.w, b1.w)
-    om21p = space.block(b2.w, b1.wperp)
-    om2p1 = space.block(b2.wperp, b1.w)
-    for i in range(g):
-        for j in range(g):
-            if (i >= h or j >= h) and om21[i][j] != 0:
-                raise BasesNotPairAdapted("omega(2,1) is not in reduced block form")
-            if (i >= h) != (j >= h) and (om21p[i][j] != 0 or om2p1[i][j] != 0):
-                raise BasesNotPairAdapted("mixed pairing blocks do not vanish")
-    if det([row[:h] for row in om21[:h]]) == 0:
-        raise BasesNotPairAdapted("reduced block omega(2,1) is singular")
-    return _closed_form(h1, h2, h, (om21, om21p, om2p1))
+    _common_space(h1, h2)
+    return _closed_form(h1, h2, _pair_adapted_or_raise(h1, h2))
 
 
 # ---------------------------------------------------------------------------
@@ -404,35 +387,20 @@ class Monomial:
         return flat.times(self.exps, [0] * dim)
 
 
-def _frame_change(
-    pol: Polarization, b1: AdaptedBasis, b2: AdaptedBasis, k: int
-) -> Monomial:
-    """The monomial matrix of rebase_unitary, rows in the b2 labels."""
-    lag = pol.lag
-    for b in (b1, b2):
-        if hnf_rows(b.w) != lag.gens:
-            raise BasisMismatch("frame is not adapted to the polarization")
-    g = lag.space.g
+def _frame_change(b1: AdaptedBasis, b2: AdaptedBasis, k: int) -> Monomial:
+    """The monomial matrix of rebase_unitary, rows in the b2 labels.
+
+    b1 and b2 must be frames of one polarization; the callers' Polarizations
+    check that.  Both frames are symplectic, so the blocks of the frame map
+    (see rebase_unitary) are pairings: the labels map by
+    A^{-T} = omega(b1.W, b2.Wperp), and
+    A^{-1}B = A^{-1} omega(b2.Wperp, b1.Wperp)^T.
+    """
+    space = b1.space
+    g = space.g
     _check_budget(k ** (2 * g))
-    inv1 = _stack_inv(b1)
-    c_rows = []
-    for row in b2.w:
-        coords = vec_mat(row, inv1)
-        if any(x != 0 for x in coords[g:]):
-            raise BasisMismatch("W rows of the target frame leave the Lagrangian")
-        c_rows.append([int(x) for x in coords[:g]])
-    d_rows, e_rows = [], []
-    for row in b2.wperp:
-        coords = vec_mat(row, inv1)
-        d_rows.append([int(x) for x in coords[:g]])
-        e_rows.append([int(x) for x in coords[g:]])
-    a_mat = transpose(c_rows)
-    if freeze(mat_mul(e_rows, a_mat)) != freeze(identity(g)):
-        raise BasisMismatch("frames are not related by a Lagrangian-preserving map")
-    s_mat = mat_mul(e_rows, transpose(d_rows))  # A^{-1} B, symmetric
-    if freeze(s_mat) != freeze(transpose(s_mat)):
-        raise BasisMismatch("frame transition is not symplectic")
-    c_inv = int_inv(c_rows)
+    c_inv = space.block(b1.w, b2.wperp)
+    s_mat = mat_mul(transpose(c_inv), transpose(space.block(b2.wperp, b1.wperp)))
     labels = _labels(k, g)
     index = {q: i for i, q in enumerate(labels)}
     cols = tuple(index[tuple(x % k for x in mat_vec(c_inv, q2))] for q2 in labels)
@@ -446,16 +414,16 @@ def rebase_unitary(
     """Unitary identification of the Hilbert spaces built on two adapted
     frames of the same polarization.
 
-    The frame map b1 -> b2 has block form (A, B; 0, A^-T) in the b1 frame;
-    the standard basis transforms by the monomial matrix
+    Both frames are checked against pol before the frame change.  The frame
+    map b1 -> b2 has block form (A, B; 0, A^-T) in the b1 frame; the standard
+    basis transforms by the monomial matrix
     sigma^{b2}_q = e^{(pi i/k) q^T A^{-1}B q} sigma^{b1}_{A^-T q}, so the
     matrix of the identification carries the conjugate phases.  Composing the
     two directions gives the identity.
     """
-    m = _frame_change(pol, b1, b2, k)
     src = HilbertSpace(k, Polarization(pol.lag, b1))
     dst = HilbertSpace(k, Polarization(pol.lag, b2))
-    return Intertwiner(src, dst, m.table())
+    return Intertwiner(src, dst, _frame_change(b1, b2, k).table())
 
 
 def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
@@ -475,8 +443,8 @@ def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     hp1 = HilbertSpace(k, Polarization(l1, pb1))
     hp2 = HilbertSpace(k, Polarization(l2, pb2))
     mid = bks_matrix_nontransverse(hp1, hp2)
-    out = _frame_change(Polarization(l2, pb2), pb2, h2.pol.basis, k)
-    back = _frame_change(Polarization(l1, h1.pol.basis), h1.pol.basis, pb1, k)
+    out = _frame_change(pb2, h2.pol.basis, k)
+    back = _frame_change(h1.pol.basis, pb1, k)
     return Intertwiner(h1, h2, mid.exact.between(out, back))
 
 

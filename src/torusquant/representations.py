@@ -24,7 +24,6 @@ from .quantize import (
     _check_budget,
     _check_level,
     _frame_change,
-    _stack_inv,
     bks_matrix,
 )
 
@@ -93,18 +92,15 @@ def heisenberg_identity(k: int, frame: Polarization) -> HeisenbergElement:
 def heisenberg_in_frame(x: HeisenbergElement, frame: Polarization) -> HeisenbergElement:
     """The same group element written over another polarization frame.
 
-    The coordinate change is exact integer linear algebra on n; switching the
+    The coordinate change is exact integer linear algebra on n (the frame is
+    unimodular, so k times the new coordinates are integers); switching the
     canonical preimage inside (1/k)Z costs the deck phase e^{i pi k w(V, W)}.
     """
     if frame.space != x.frame.space:
         raise FrameMismatch("frames live over different spaces")
     k = x.k
     v1 = x.ambient()
-    coords = vec_mat(v1, _stack_inv(frame.basis))
-    scaled = [k * c for c in coords]
-    if any(s.denominator != 1 for s in scaled):
-        raise FrameMismatch("element does not lie in the target frame lattice")
-    n2 = tuple(int(s) % k for s in scaled)
+    n2 = tuple(int(k * c) % k for c in frame.basis.coords(v1))
     v2 = vec_mat([Fraction(m, k) for m in n2], frame.basis.stack)
     w = vec_sub(v2, v1)
     t = k * frame.space.omega(v1, w)
@@ -154,10 +150,8 @@ def _pushforward(b: SpElement, space: HilbertSpace) -> tuple[HilbertSpace, Monom
     pol = space.pol
     if b.space != pol.space:
         raise BaseMismatch("map and polarization live over different spaces")
-    moved_lag = b.apply_lagrangian(pol.lag)
-    moved_basis = b.apply_basis(pol.basis)
-    target = Polarization.canonical(moved_lag)
-    push = _frame_change(Polarization(moved_lag, moved_basis), moved_basis, target.basis, space.k)
+    target = Polarization.canonical(b.apply_lagrangian(pol.lag))
+    push = _frame_change(b.apply_basis(pol.basis), target.basis, space.k)
     return HilbertSpace(space.k, target), push
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from torusquant.cli import main
 
@@ -93,6 +94,14 @@ class TestBksCommand:
         )
         assert code == 2
         assert json.loads(err)["error"] == "TooLarge"
+
+    @pytest.mark.parametrize("flag", ["--seed", "--tolerance"])
+    def test_verify_only_flags_rejected(self, capsys, flag):
+        # only verify reads a seed or a tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["bks", "--lagrangian", "1 0", "--lagrangian", "0 1", flag, "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestMaslovCommand:

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -226,7 +228,7 @@ class TestPhases:
     def test_unit_phase_group(self):
         p = UnitPhase.of(Fraction(3, 4))
         assert (p * p.conj()).t == 0
-        assert (p**8).t == 0
+        assert functools.reduce(operator.mul, [p] * 8).t == 0
 
     def test_phase_sum_merges(self):
         ps = PhaseSum.build(2, [(Fraction(1, 2), 1), (Fraction(5, 2), 1), (0, 1)])

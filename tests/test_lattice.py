@@ -11,7 +11,7 @@ from torusquant.errors import (
     NotUnimodular,
     SpaceMismatch,
 )
-from torusquant.exact import det, frac_inv, hnf_rows, mat_mul, transpose
+from torusquant.exact import det, frac_inv, hnf_rows, identity, mat_mul, transpose
 from torusquant.lattice import (
     AdaptedBasis,
     Lagrangian,
@@ -217,11 +217,7 @@ class TestLatticeProperties:
     @given(st.sampled_from((1, 2, 3)), st.integers(0, 2**32), st.data())
     @settings(max_examples=60, deadline=None)
     def test_pair_adapted_bases_share_the_intersection(self, g, seed, data):
-        space = SymplecticSpace.standard(g)
-        rng = random.Random(seed)
-        l1 = random_lagrangian(rng, space)
-        shared = data.draw(st.integers(0, g))
-        l2 = random_lagrangian(rng, space, contains=l1.gens[:shared])
+        space, l1, l2 = _pair_sharing(g, seed, data)
         b1, b2 = pair_adapted_bases(l1, l2)
         meet = intersect(l1, l2)
         h = g - meet.rank
@@ -230,3 +226,46 @@ class TestLatticeProperties:
         assert hnf_rows(b1.w[h:]) == meet.gens
         assert hnf_rows(b1.w) == l1.gens
         assert hnf_rows(b2.w) == l2.gens
+
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 2**32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_adapted_blocks_are_reduced(self, g, seed, data):
+        # the nontransverse closed form reads R, P, S off these blocks unchecked
+        space, l1, l2 = _pair_sharing(g, seed, data)
+        b1, b2 = pair_adapted_bases(l1, l2)
+        h = g - intersect(l1, l2).rank
+        om21 = space.block(b2.w, b1.w)
+        mixed = (space.block(b2.w, b1.wperp), space.block(b2.wperp, b1.w))
+        for i in range(g):
+            for j in range(g):
+                if i >= h or j >= h:
+                    assert om21[i][j] == 0
+                if (i >= h) != (j >= h):
+                    assert all(m[i][j] == 0 for m in mixed)
+        assert det([row[:h] for row in om21[:h]]) != 0
+
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 2**32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_frames_of_one_lagrangian_differ_by_a_lagrangian_map(self, g, seed, data):
+        # the frame change reads A^{-1} and A^{-1}B off pairings unchecked
+        _, l1, l2 = _pair_sharing(g, seed, data)
+        canonical, paired = adapted_basis(l1), pair_adapted_bases(l1, l2)[0]
+        for b1, b2 in ((canonical, paired), (paired, canonical)):
+            w_coords = [b1.coords(x) for x in b2.w]
+            assert all(c[g:] == (0,) * g for c in w_coords)
+            a = transpose([c[:g] for c in w_coords])
+            perp_coords = [b1.coords(x) for x in b2.wperp]
+            a_inv = [c[g:] for c in perp_coords]
+            assert mat_mul(a_inv, a) == identity(g)
+            s = mat_mul(a_inv, transpose([c[:g] for c in perp_coords]))
+            assert s == transpose(s)
+
+
+def _pair_sharing(g, seed, data):
+    """Two full Lagrangians of the standard space that share a drawn number
+    of generators."""
+    space = SymplecticSpace.standard(g)
+    rng = random.Random(seed)
+    l1 = random_lagrangian(rng, space)
+    shared = data.draw(st.integers(0, g))
+    return space, l1, random_lagrangian(rng, space, contains=l1.gens[:shared])

@@ -25,9 +25,11 @@ from torusquant.exact import (
     adjugate,
     coset_reps,
     det,
+    frac_inv,
     mat_mul,
     mat_vec,
     quad_form,
+    vec_mat,
 )
 from torusquant.lattice import (
     AdaptedBasis,
@@ -39,7 +41,6 @@ from torusquant.lattice import (
 )
 from torusquant.maslov import LagrangianLift, maslov_index, triple_index
 from torusquant.quantize import (
-    STACK_INV_CACHE_SIZE,
     HilbertSpace,
     Polarization,
     bks_matrix,
@@ -48,7 +49,6 @@ from torusquant.quantize import (
     corrected_intertwiner,
     frame_potential,
     _frame_change,
-    _stack_inv,
     intersection_points,
     rebase_unitary,
     unitarity_defect,
@@ -118,12 +118,24 @@ class TestFramePotential:
                 lhs = frame_potential(pol, tuple(a + b for a, b in zip(x, wp))) - frame_potential(pol, x)
                 assert lhs == -Fraction(space.omega(wp, x), 2)
 
-    def test_frame_cache_is_bounded(self):
-        # the frames (e1; n e1 + f1) of span(e1) are distinct for every n
-        for n in range(1000):
-            pol = Polarization(L_E1, AdaptedBasis(SP1, ((1, 0),), ((n, 1),)))
-            assert frame_potential(pol, (1, 1)) == Fraction(1 - n, 2)
-        assert _stack_inv.cache_info().currsize <= STACK_INV_CACHE_SIZE
+
+class TestFrameCoords:
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_pairing_matches_the_inverse_stack(self, g, seed, rational):
+        rng = random.Random(seed)
+        space = SymplecticSpace.standard(g)
+        l1, l2 = random_pair(rng, space)
+        b1 = adapted_basis(l1)
+        for basis in (b1, *pair_adapted_bases(l1, l2), _twisted_frame(rng, b1)):
+            if rational:
+                x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(2 * g))
+            else:
+                x = tuple(rng.randint(-9, 9) for _ in range(2 * g))
+            coords = basis.coords(x)
+            # the rational inverse of the frame stack, the route coords replaced
+            assert coords == vec_mat(x, frac_inv(basis.stack))
+            assert rational or all(isinstance(c, int) for c in coords)
 
 
 class TestIntersectionPoints:
@@ -327,7 +339,7 @@ class TestRebase:
 def _twisted_frame(rng, basis):
     """Another adapted frame of the same Lagrangian: W' = A W and
     Wperp' = A^-T (Wperp + S W) for random unimodular A, symmetric S."""
-    from torusquant.exact import int_inv, mat_mul, transpose, vec_mat
+    from torusquant.exact import int_inv, transpose
 
     g = basis.space.g
     a = random_unimodular(rng, g)
@@ -513,8 +525,8 @@ def _reference_bks(h1, h2):
     hp1 = HilbertSpace(k, Polarization(l1, pb1))
     hp2 = HilbertSpace(k, Polarization(l2, pb2))
     mid = _reference_pairing(hp1, hp2, h1.g - s)
-    out = _frame_change(Polarization(l2, pb2), pb2, h2.pol.basis, k)
-    back = _frame_change(Polarization(l1, h1.pol.basis), h1.pol.basis, pb1, k)
+    out = _frame_change(pb2, h2.pol.basis, k)
+    back = _frame_change(h1.pol.basis, pb1, k)
     rows = sorted(range(h1.dim), key=back.cols.__getitem__)
     out_phases = [UnitPhase.of(t) for t in out.exps]
     back_phases = [UnitPhase.of(t) for t in back.exps]

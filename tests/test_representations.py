@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -399,6 +400,20 @@ class TestTableBudget:
             sp_pushforward(gamma.b, hs)
         with pytest.raises(TooLarge):
             mp_operator(gamma, hs)
+
+    def test_phase_denominators_are_bounded(self):
+        # the denominator 2^23 would tabulate 2^24 unit phases in value()
+        phase = UnitPhase.of(Fraction(1, 2**23))
+        hs = HilbertSpace(2, POL1)
+        one = heisenberg_matrix(HeisenbergElement.of(2, (0, 0), POL1), hs)
+        for build in (
+            lambda: heisenberg_matrix(HeisenbergElement.of(2, (1, 1), POL1, phase), hs),
+            lambda: one.scaled(phase),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(TooLarge):
+                build()
+            assert time.perf_counter() - start < 1.0
 
 
 class TestCommutant:
