@@ -86,16 +86,8 @@ def _seed(args) -> int:
 # serialization
 
 
-def _f17(x: float) -> float:
-    return float(format(float(x), ".17g"))
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [_f17(z.real), _f17(z.imag)]
-
-
 def _matrix_doc(matrix: np.ndarray) -> list:
-    return [[_complex_pair(z) for z in row] for row in matrix]
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
 
 
 def _exact_doc(exact) -> list:

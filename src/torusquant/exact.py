@@ -141,6 +141,18 @@ def multixgcd(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 # Hermite and Smith normal forms
 
 
+def _rotate(mats: Sequence[list[list[int]]], t: int, i: int, a: int, b: int) -> None:
+    """Replace rows t, i of each matrix by the unimodular xgcd combination
+    (x*row_t + y*row_i, -(b/g)*row_t + (a/g)*row_i), g = gcd(a, b) = a*x + b*y:
+    a pivot a over an entry b becomes g over 0."""
+    g, x, y = xgcd(a, b)
+    p, q = a // g, b // g
+    for m in mats:
+        rt, ri = m[t], m[i]
+        m[t] = [x * e + y * f for e, f in zip(rt, ri)]
+        m[i] = [-q * e + p * f for e, f in zip(rt, ri)]
+
+
 def hnf(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     """Row Hermite normal form.
 
@@ -162,17 +174,7 @@ def hnf(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
             b = rows[i][c]
             if b == 0:
                 continue
-            a = rows[r][c]
-            g, x, y = xgcd(a, b)
-            p, q = a // g, b // g
-            rows[r], rows[i] = (
-                [x * rr + y * ri for rr, ri in zip(rows[r], rows[i])],
-                [-q * rr + p * ri for rr, ri in zip(rows[r], rows[i])],
-            )
-            u[r], u[i] = (
-                [x * rr + y * ri for rr, ri in zip(u[r], u[i])],
-                [-q * rr + p * ri for rr, ri in zip(u[r], u[i])],
-            )
+            _rotate((rows, u), r, i, rows[r][c], b)
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
             u[r] = [-x for x in u[r]]
@@ -228,16 +230,7 @@ def snf(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
                 a[i] = [ri - q * rt for rt, ri in zip(a[t], a[i])]
                 u[i] = [ri - q * rt for rt, ri in zip(u[t], u[i])]
                 continue
-            g, x, y = xgcd(p_, b)
-            pp, qq = p_ // g, b // g
-            a[t], a[i] = (
-                [x * rt + y * ri for rt, ri in zip(a[t], a[i])],
-                [-qq * rt + pp * ri for rt, ri in zip(a[t], a[i])],
-            )
-            u[t], u[i] = (
-                [x * rt + y * ri for rt, ri in zip(u[t], u[i])],
-                [-qq * rt + pp * ri for rt, ri in zip(u[t], u[i])],
-            )
+            _rotate((a, u), t, i, p_, b)
 
     def col_step(t: int) -> None:
         for j in range(t + 1, nc):
@@ -315,45 +308,60 @@ def invariant_factors(m: Matrix) -> tuple[int, ...]:
 # determinants, rational solving
 
 
-def det(m: Matrix):
-    """Exact determinant (fraction-free Bareiss for integer input)."""
+def det(m: Matrix) -> int:
+    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
     n, c = shape(m)
     if n != c:
         raise DimensionMismatch("determinant of a nonsquare matrix")
+    if not all(isinstance(x, int) for row in m for x in row):
+        # Bareiss divides exactly with //, which floors non-integer entries
+        raise DimensionMismatch("determinant needs integer entries")
     if n == 0:
         return 1
-    if all(isinstance(x, int) for row in m for x in row):
-        a = [list(r) for r in m]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if piv is None:
-                    return 0
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-    a = [[Fraction(x) for x in row] for row in m]
-    out = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
+    a = [list(r) for r in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
             a[k], a[piv] = a[piv], a[k]
-            out = -out
-        out *= a[k][k]
+            sign = -sign
         for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / a[k][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return out
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _rref(rows: Matrix, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan over the rationals, pivoting on the first ncols columns.
+
+    Returns the reduced rows (each pivot row scaled to 1 at its pivot, the
+    pivot column cleared elsewhere) and the pivot columns in order; the
+    pivot row is the first nonzero one at or below the current row.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    nr = len(m)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 def frac_inv(m: Matrix) -> list[list[Fraction]]:
@@ -361,18 +369,9 @@ def frac_inv(m: Matrix) -> list[list[Fraction]]:
     n, c = shape(m)
     if n != c:
         raise DimensionMismatch("inverse of a nonsquare matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    a, pivots = _rref([list(row) + e for row, e in zip(m, identity(n))], n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
     return [row[n:] for row in a]
 
 
@@ -406,31 +405,13 @@ def solve_underdetermined(a: Matrix, rhs: Vector) -> tuple[Fraction, ...]:
 
     Raises SingularMatrix if the system is inconsistent.
     """
-    nr, nc = shape(a)
-    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(a, rhs)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if m[i][nc] != 0:
-            raise SingularMatrix("inconsistent linear system")
+    _, nc = shape(a)
+    m, pivots = _rref([list(row) + [r] for row, r in zip(a, rhs)], nc)
+    if any(row[nc] for row in m[len(pivots):]):
+        raise SingularMatrix("inconsistent linear system")
     x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = m[i][nc]
+    for row, c in zip(m, pivots):
+        x[c] = row[nc]
     return tuple(x)
 
 

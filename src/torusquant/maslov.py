@@ -274,11 +274,7 @@ def mp_generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> MpElement:
         if abs(d) != 1:
             raise NotUnimodular("A must lie in GL(g, Z)")
         ainv_t = transpose(int_inv(a))
-        block = zeros(2 * g, 2 * g)
-        for i in range(g):
-            for j in range(g):
-                block[i][j] = a[i][j]
-                block[g + i][g + j] = ainv_t[i][j]
+        block = [r + [0] * g for r in a] + [[0] * g + r for r in ainv_t]
         z = 0 if d > 0 else 2
         return MpElement(base, SpElement(space, freeze(_frame_to_ambient(basis, block))), z)
     if kind == "beta":

@@ -11,20 +11,24 @@ from torusquant.exact import (
     PhaseSum,
     Signature,
     UnitPhase,
+    adjugate,
     coset_reps,
     det,
+    frac_inv,
     gauss_reciprocity_check,
     hnf,
     identity,
     int_inv,
     mat_mul,
+    mat_vec,
     multixgcd,
     signature,
     snf,
     solve,
+    solve_underdetermined,
     xgcd,
 )
-from torusquant.errors import NotSymmetric, OddModulus, SingularMatrix
+from torusquant.errors import DimensionMismatch, NotSymmetric, OddModulus, SingularMatrix
 
 int_entries = st.integers(min_value=-9, max_value=9)
 
@@ -282,3 +286,344 @@ class TestHelpers:
     def test_int_inv_rejects_nonunimodular(self):
         with pytest.raises(SingularMatrix):
             int_inv([[2, 0], [0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# Reference eliminations: the rational branch det had and the two Gauss-Jordan
+# loops frac_inv and solve_underdetermined each ran before they shared one.
+
+
+def reference_det(m):
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    out = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            out = -out
+        out *= a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return out
+
+
+def reference_frac_inv(m):
+    n = len(m)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            raise SingularMatrix("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
+def reference_solve_underdetermined(a, rhs):
+    nr, nc = len(a), len(a[0])
+    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(a, rhs)]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    for i in range(r, nr):
+        if m[i][nc] != 0:
+            raise SingularMatrix("inconsistent linear system")
+    x = [Fraction(0)] * nc
+    for i, c in enumerate(pivots):
+        x[c] = m[i][nc]
+    return tuple(x)
+
+
+def outcome(f, *args):
+    """f(*args), or SingularMatrix if it raises that."""
+    try:
+        return f(*args)
+    except SingularMatrix as e:
+        return type(e)
+
+
+def _last_row_dependent(rows, c):
+    rows[-1] = [c * x for x in rows[0]]
+    return rows
+
+
+def square_matrix(max_dim=5):
+    """Square integer matrices from 0 x 0 to max_dim x max_dim; about half of
+    those of size 2 and up get a last row that is a multiple of the first."""
+
+    def of_size(n):
+        rows = st.lists(st.lists(int_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        if n < 2:
+            return rows
+        return st.one_of(rows, st.builds(_last_row_dependent, rows, st.integers(-2, 2)))
+
+    return st.integers(0, max_dim).flatmap(of_size)
+
+
+def linear_system(max_dim=5):
+    """(a, rhs) with a of any shape up to max_dim x max_dim, so wide, tall and
+    square; rhs is a . x for an integer x (consistent) or drawn freely (for a
+    rank-deficient a, usually inconsistent)."""
+
+    def of_shape(shape):
+        r, c = shape
+        rows = st.lists(st.lists(int_entries, min_size=c, max_size=c), min_size=r, max_size=r)
+        free = st.lists(int_entries, min_size=r, max_size=r)
+        x = st.lists(int_entries, min_size=c, max_size=c)
+        return st.one_of(
+            st.tuples(rows, free),
+            st.tuples(rows, x).map(lambda ax: (ax[0], list(mat_vec(ax[0], ax[1])))),
+        )
+
+    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(of_shape)
+
+
+class TestAgainstReferenceEliminations:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrix())
+    def test_det_matches_rational_branch(self, m):
+        d = det(m)
+        assert type(d) is int
+        assert d == reference_det(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrix(), st.lists(int_entries, min_size=5, max_size=5))
+    def test_inverse_routes_match_gauss_jordan(self, m, rhs):
+        ref = outcome(reference_frac_inv, m)
+        assert outcome(frac_inv, m) == ref
+        rhs = rhs[: len(m)]
+        if ref is SingularMatrix:
+            for route in (int_inv, adjugate):
+                with pytest.raises(SingularMatrix):
+                    route(m)
+            return
+        d = reference_det(m)
+        assert adjugate(m) == [[int(d * x) for x in row] for row in ref]
+        assert solve(m, rhs) == tuple(mat_vec(ref, [Fraction(x) for x in rhs]))
+        if all(x.denominator == 1 for row in ref for x in row):
+            assert int_inv(m) == ref
+        else:
+            with pytest.raises(SingularMatrix):
+                int_inv(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(linear_system())
+    def test_solve_underdetermined_matches_gauss_jordan(self, system):
+        a, rhs = system
+        x = outcome(solve_underdetermined, a, rhs)
+        assert x == outcome(reference_solve_underdetermined, a, rhs)
+        if x is not SingularMatrix:
+            assert mat_vec(a, x) == tuple(rhs)
+
+    def test_inconsistent_systems_raise(self):
+        with pytest.raises(SingularMatrix):
+            solve_underdetermined([[1, 2], [2, 4]], [1, 3])
+        with pytest.raises(SingularMatrix):
+            solve_underdetermined([[1], [1], [0]], [2, 2, 1])
+
+    @pytest.mark.parametrize(
+        "m", [[[Fraction(1, 2)]], [[Fraction(4), 2], [1, 1]], [[1.0, 0], [0, 1]]], ids=str
+    )
+    def test_det_rejects_non_integer_entries(self, m):
+        # Bareiss divides with //, which is silently wrong off the integers
+        with pytest.raises(DimensionMismatch):
+            det(m)
+
+
+# (m, hnf(m), snf(m), coset_reps(m) or None), recorded before hnf and snf
+# shared one gcd rotation; the order of coset_reps fixes the term order of
+# every PhaseTable.
+PINNED_FORMS = [
+    (
+        [[-4]],
+        ([[4]], [[-1]]),
+        ([[4]], [[-1]], [[1]]),
+        [(0,), (-1,), (-2,), (-3,)],
+    ),
+    (
+        [[0, 3, 3]],
+        ([[0, 3, 3]], [[1]]),
+        ([[3, 0, 0]], [[1]], [[0, 1, 0], [1, 0, -1], [0, 0, 1]]),
+        None,
+    ),
+    (
+        [[5], [-4], [-2]],
+        ([[1], [0], [0]], [[-1, -1, -1], [4, 5, 0], [2, 2, 1]]),
+        ([[1], [0], [0]], [[1, 0, 2], [0, 1, -2], [-2, 0, -5]], [[1]]),
+        None,
+    ),
+    (
+        [[4, 4], [3, 1]],
+        ([[1, 3], [0, 8]], [[1, -1], [3, -4]]),
+        ([[1, 0], [0, 8]], [[0, 1], [-1, 4]], [[0, 1], [1, -3]]),
+        [(0, 0), (-1, 0), (-2, 0), (-3, 0), (-4, 0), (-5, 0), (-6, 0), (-7, 0)],
+    ),
+    (
+        [[4, 3], [2, 4]],
+        ([[2, 4], [0, 5]], [[0, 1], [-1, 2]]),
+        ([[1, 0], [0, 10]], [[1, -1], [4, -3]], [[0, 1], [-1, 2]]),
+        [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9)],
+    ),
+    (
+        [[2, -2], [-5, 4]],
+        ([[1, 0], [0, 2]], [[-2, -1], [-5, -2]]),
+        ([[1, 0], [0, 2]], [[-2, -1], [-5, -2]], [[1, 0], [0, 1]]),
+        [(0, 0), (-1, 2)],
+    ),
+    (
+        [[-4, -4, -1], [-4, 2, -5]],
+        ([[4, 4, 1], [0, 6, -4]], [[-1, 0], [-1, 1]]),
+        ([[1, 0, 0], [0, 2, 0]], [[-1, 0], [-5, 1]], [[0, -4, -11], [0, 3, 8], [1, 4, 12]]),
+        None,
+    ),
+    (
+        [[5, 2], [5, 0], [-2, 1]],
+        ([[1, 0], [0, 1], [0, 0]], [[-6, 11, 12], [-2, 4, 5], [5, -9, -10]]),
+        ([[1, 0], [0, 1], [0, 0]], [[0, 0, 1], [-1, 2, 2], [5, -9, -10]], [[0, 1], [1, 2]]),
+        None,
+    ),
+    (
+        [[-1, 0, 0], [1, 3, 5], [-4, 0, -4]],
+        ([[1, 0, 0], [0, 3, 1], [0, 0, 4]], [[-1, 0, 0], [-3, 1, 1], [4, 0, -1]]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 12]], [[-1, 0, 0], [1, 1, 0], [8, 4, -1]],
+         [[1, 0, 0], [0, 2, -5], [0, -1, 3]]),
+        [(0, 0, 0), (0, 0, -1), (0, 0, -2), (0, 0, -3), (0, 0, -4), (0, 0, -5), (0, 0, -6),
+         (0, 0, -7), (0, 0, -8), (0, 0, -9), (0, 0, -10), (0, 0, -11)],
+    ),
+    (
+        [[3, 3, -1], [-1, 2, -3], [5, 4, -1]],
+        ([[1, 0, 3], [0, 1, 2], [0, 0, 4]], [[8, -2, -5], [11, -2, -7], [14, -3, -9]]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 4]], [[-1, 0, 0], [-1, 0, 1], [-10, 1, 7]],
+         [[0, 0, 1], [0, 1, -2], [1, 3, -3]]),
+        [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0)],
+    ),
+    (
+        [[-5, 3, 5], [-4, 4, 1], [2, -3, 2]],
+        ([[1, 0, 1], [0, 1, 0], [0, 0, 5]], [[-3, 6, 5], [-2, 4, 3], [-4, 9, 8]]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 5]], [[0, 1, 0], [1, -3, -1], [-1, 1, 2]],
+         [[0, -1, 6], [0, -1, 5], [1, 0, 4]]),
+        [(0, 0, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 0, 4)],
+    ),
+    (
+        [[-2, -4, 5, 2], [5, 2, 3, -1]],
+        ([[1, 10, -18, -5], [0, 16, -31, -8]], [[-3, -1], [-5, -2]]),
+        ([[1, 0, 0, 0], [0, 1, 0, 0]], [[0, -1], [1, 2]],
+         [[0, -4, -11, 0], [0, 0, 0, 1], [0, 3, 8, 0], [1, -11, -31, 2]]),
+        None,
+    ),
+    (
+        [[3, 1], [5, -1], [3, 5], [3, 2]],
+        ([[1, 0], [0, 1], [0, 0], [0, 0]],
+         [[-16, 8, 6, -3], [6, -3, -2, 1], [7, -3, -2, 0], [18, -9, -7, 4]]),
+        ([[1, 0], [0, 1], [0, 0], [0, 0]],
+         [[1, 0, 0, 0], [5, -1, 0, -3], [3, 0, 1, -4], [13, -3, 0, -8]], [[0, 1], [1, -3]]),
+        None,
+    ),
+    (
+        [[2, -1, -1, 5], [-2, -3, 0, 1], [3, 3, 0, 0], [5, 2, 1, 0]],
+        ([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 2], [0, 0, 0, 3]],
+         [[0, 1, 1, 0], [-2, 11, 12, -2], [-5, 27, 28, -4], [-3, 18, 19, -3]]),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]],
+         [[-1, 0, 0, 0], [-2, 0, 0, -1], [0, 1, 1, 0], [3, -15, -16, 3]],
+         [[0, 0, 0, 1], [1, -1, -5, -2], [0, 1, 10, -1], [0, 0, 1, -1]]),
+        [(0, 0, 0, 0), (0, 1, -1, 0), (0, 2, -2, 0)],
+    ),
+    (
+        [[-3, -1, 3, 3], [1, 5, -4, 4], [-2, -5, 2, -2], [-2, 1, 3, 3]],
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 5], [0, 0, 0, 12]],
+         [[5, -2, -4, -5], [-3, 1, 2, 3], [18, -6, -13, -17], [41, -13, -29, -39]]),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 12]],
+         [[-1, 0, 0, 0], [-5, 0, 2, 5], [-3, 3, 4, 2], [11, -7, -11, -9]],
+         [[0, 1, 4, 24], [1, -3, -9, -48], [0, 0, 0, 1], [0, 0, 1, 7]]),
+        [(0, 0, 0, 0), (0, -16, 15, -6), (0, -32, 30, -12), (0, -48, 45, -18),
+         (0, -64, 60, -24), (0, -80, 75, -30), (0, -96, 90, -36), (0, -112, 105, -42),
+         (0, -128, 120, -48), (0, -144, 135, -54), (0, -160, 150, -60), (0, -176, 165, -66)],
+    ),
+    (
+        [[2, 3, -5], [-1, -2, 3], [0, 3, -4]],
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[-1, -3, -1], [-4, -8, -1], [-3, -6, -1]]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, -1, 0], [-1, -2, 0], [-3, -6, -1]],
+         [[1, -2, 1], [0, 1, 1], [0, 0, 1]]),
+        [(0, 0, 0)],
+    ),
+    (
+        [[2, 5], [1, -3]],
+        ([[1, 8], [0, 11]], [[1, -1], [1, -2]]),
+        ([[1, 0], [0, 11]], [[0, 1], [1, -2]], [[1, 3], [0, 1]]),
+        [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (9, 0),
+         (10, 0)],
+    ),
+    (
+        [[2, -5, 0, 1], [2, -5, 4, -5], [-1, 3, 3, -5], [-4, 0, 1, -1]],
+        ([[1, 0, 0, 3], [0, 1, 0, 5], [0, 0, 1, 1], [0, 0, 0, 10]],
+         [[34, -19, 25, 1], [57, -32, 42, 2], [27, -15, 20, 1], [109, -61, 80, 4]]),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 10]],
+         [[1, 0, 0, 0], [1, 0, 0, 1], [-4, 2, -3, 1], [13, -7, 10, -2]],
+         [[0, 0, 0, 1], [0, 0, 1, 5], [0, 1, 5, 27], [1, 0, 5, 23]]),
+        [(0, 0, 0, 0), (0, -3, -2, 0), (0, -6, -4, 0), (0, -9, -6, 0), (0, -12, -8, 0),
+         (0, -15, -10, 0), (0, -18, -12, 0), (0, -21, -14, 0), (0, -24, -16, 0),
+         (0, -27, -18, 0)],
+    ),
+    (
+        [[1, -1, -1, -5], [-2, -2, -5, -4], [-2, -3, -5, 0]],
+        ([[1, 0, 6, 21], [0, 1, 0, -4], [0, 0, 7, 30]], [[-1, -4, 3], [0, 1, -1], [-2, -5, 4]]),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [[1, 0, 0], [0, 1, -1], [2, 5, -4]],
+         [[1, 1, 14, -33], [0, 1, 12, -28], [0, 0, -13, 30], [0, 0, 3, -7]]),
+        None,
+    ),
+    (
+        [[2, 1, -4], [0, 1, -4], [-5, 0, 4]],
+        ([[1, 0, 4], [0, 1, 4], [0, 0, 8]], [[3, -3, 1], [5, -4, 2], [5, -5, 2]]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 8]], [[1, 0, 0], [-2, 2, -1], [5, -5, 2]],
+         [[0, 1, 4], [1, -2, -4], [0, 0, 1]]),
+        [(0, 0, 0), (0, -1, -2), (0, -2, -4), (0, -3, -6), (0, -4, -8), (0, -5, -10),
+         (0, -6, -12), (0, -7, -14)],
+    ),
+    (
+        [[0, 0], [0, 0]],
+        ([[0, 0], [0, 0]], [[1, 0], [0, 1]]),
+        ([[0, 0], [0, 0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+        None,
+    ),
+    (
+        [[2, 4], [1, 2]],
+        ([[1, 2], [0, 0]], [[0, 1], [-1, 2]]),
+        ([[1, 0], [0, 0]], [[0, 1], [1, -2]], [[1, -2], [0, 1]]),
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("m, h, s, reps", PINNED_FORMS)
+def test_pinned_normal_forms(m, h, s, reps):
+    assert hnf(m) == h
+    assert snf(m) == s
+    if reps is not None:
+        assert coset_reps(m) == reps

@@ -2,10 +2,12 @@
 
 No module of the package or of the tests imports a name it never uses; the
 package's __init__.py is exempt, its imports are the public re-exports.
-Every cache in the package has a finite integer size.
+Every cache in the package has a finite integer size.  Every function the
+benchmark's traced run wraps (perfbench/spans.py, TRACED) exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,35 @@ def test_checker_finds_unbounded_caches():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_caches_are_bounded(path):
     assert unbounded_caches(path.read_text()) == []
+
+
+def unresolved(traced) -> list[str]:
+    """The (module, "function" or "Class.attribute") entries that name no
+    callable in the package."""
+    bad = []
+    for module, func in traced:
+        obj = importlib.import_module("torusquant." + module)
+        for part in func.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            bad.append(f"{module}.{func}")
+    return bad
+
+
+def test_checker_finds_unresolved_names():
+    traced = [
+        ("exact", "snf"),
+        ("exact", "PhaseSum.build"),
+        ("exact", "PhaseSum.gone"),
+        ("lattice", "gone"),
+    ]
+    assert unresolved(traced) == ["exact.PhaseSum.gone", "lattice.gone"]
+
+
+def test_traced_names_resolve():
+    # run the source, so that importing it writes nothing under perfbench/
+    path = ROOT / "perfbench" / "spans.py"
+    spans = {"__name__": "spans"}
+    exec(compile(path.read_text(), str(path), "exec"), spans)
+    assert spans["TRACED"]
+    assert unresolved(spans["TRACED"]) == []
