@@ -146,21 +146,13 @@ def cmd_basis(args) -> int:
     space = SymplecticSpace.standard(args.g)
     lag = _lagrangians(args, space, 1)[0]
     basis = adapted_basis(lag)
-    om = space.omega
     g = space.g
+    # AdaptedBasis raises on any violation of the first four
     invariants = {
-        "w_isotropic": all(
-            om(basis.w[i], basis.w[j]) == 0 for i in range(g) for j in range(g)
-        ),
-        "wperp_isotropic": all(
-            om(basis.wperp[i], basis.wperp[j]) == 0 for i in range(g) for j in range(g)
-        ),
-        "pairing_delta": all(
-            om(basis.w[i], basis.wperp[j]) == (1 if i == j else 0)
-            for i in range(g)
-            for j in range(g)
-        ),
-        "stack_unimodular": True,  # enforced at construction
+        "w_isotropic": True,
+        "wperp_isotropic": True,
+        "pairing_delta": True,
+        "stack_unimodular": True,
         "spans_lagrangian": hnf_rows(basis.w[: lag.rank]) == lag.gens,
     }
     doc = {

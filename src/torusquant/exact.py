@@ -43,8 +43,8 @@ def zeros(r: int, c: int) -> list[list[int]]:
 
 
 def transpose(m: Matrix) -> list[list]:
-    r, c = shape(m)
-    return [[m[i][j] for i in range(r)] for j in range(c)]
+    shape(m)
+    return [list(col) for col in zip(*m)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> list[list]:
@@ -207,55 +207,33 @@ def right_kernel(m: Matrix) -> tuple[tuple[int, ...], ...]:
     return left_kernel(transpose(m))
 
 
+def _clear_below(m: list[list[int]], u: list[list[int]], t: int) -> None:
+    """Zero column t of m below row t by row operations, applied to u too:
+    plain subtraction when the pivot divides the entry, the gcd rotation
+    (which strictly shrinks the pivot) only when it does not."""
+    for i in range(t + 1, len(m)):
+        b = m[i][t]
+        if b == 0:
+            continue
+        p = m[t][t]
+        if p != 0 and b % p == 0:
+            q = b // p
+            m[i] = [ri - q * rt for rt, ri in zip(m[t], m[i])]
+            u[i] = [ri - q * rt for rt, ri in zip(u[t], u[i])]
+        else:
+            _rotate((m, u), t, i, p, b)
+
+
 def snf(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form: (S, U, V) with U*m*V = S diagonal, d1 | d2 | ...
 
-    Diagonal entries are nonnegative; U, V are unimodular.
+    Diagonal entries are nonnegative; U, V are unimodular.  Columns are
+    cleared as the rows of the transpose, so V is kept transposed throughout.
     """
     a = [list(r) for r in m]
     nr, nc = shape(a)
     u = identity(nr)
-    v = identity(nc)
-
-    def row_step(t: int) -> None:
-        # plain subtraction when the pivot divides; gcd rotation (which
-        # strictly shrinks the pivot) only when it does not
-        for i in range(t + 1, nr):
-            b = a[i][t]
-            if b == 0:
-                continue
-            p_ = a[t][t]
-            if p_ != 0 and b % p_ == 0:
-                q = b // p_
-                a[i] = [ri - q * rt for rt, ri in zip(a[t], a[i])]
-                u[i] = [ri - q * rt for rt, ri in zip(u[t], u[i])]
-                continue
-            _rotate((a, u), t, i, p_, b)
-
-    def col_step(t: int) -> None:
-        for j in range(t + 1, nc):
-            b = a[t][j]
-            if b == 0:
-                continue
-            p_ = a[t][t]
-            if p_ != 0 and b % p_ == 0:
-                q = b // p_
-                for i in range(nr):
-                    a[i][j] -= q * a[i][t]
-                for i in range(nc):
-                    v[i][j] -= q * v[i][t]
-                continue
-            g, x, y = xgcd(p_, b)
-            pp, qq = p_ // g, b // g
-            for i in range(nr):
-                at, aj = a[i][t], a[i][j]
-                a[i][t] = x * at + y * aj
-                a[i][j] = -qq * at + pp * aj
-            for i in range(nc):
-                vt, vj = v[i][t], v[i][j]
-                v[i][t] = x * vt + y * vj
-                v[i][j] = -qq * vt + pp * vj
-
+    vt = identity(nc)
     for t in range(min(nr, nc)):
         # deterministic pivot: smallest |entry| in the trailing block, first wins
         best = None
@@ -272,23 +250,20 @@ def snf(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
         if j != t:
             for row in a:
                 row[t], row[j] = row[j], row[t]
-            for row in v:
-                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
         while True:
-            row_step(t)
-            col_step(t)
+            _clear_below(a, u, t)
+            if any(a[t][t + 1 :]):
+                at = transpose(a)
+                _clear_below(at, vt, t)
+                a = transpose(at)
             if any(a[i][t] for i in range(t + 1, nr)):
                 continue
             # enforce divisibility of the trailing block by the pivot
-            p_ = a[t][t]
-            culprit = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % p_:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            p = a[t][t]
+            culprit = next(
+                (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None
+            )
             if culprit is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[culprit])]
@@ -296,7 +271,7 @@ def snf(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
-    return a, u, v
+    return a, u, transpose(vt)
 
 
 def invariant_factors(m: Matrix) -> tuple[int, ...]:

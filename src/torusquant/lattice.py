@@ -241,7 +241,7 @@ def intersect(l1: Lagrangian, l2: Lagrangian) -> Lagrangian:
     vecs = []
     for krow in left_kernel(stacked):
         vecs.append(vec_mat(krow[: l1.rank], l1.gens))
-    return Lagrangian.make(l1.space, hnf_rows(vecs))
+    return Lagrangian.make(l1.space, vecs)
 
 
 def pair_adapted_bases(l1: Lagrangian, l2: Lagrangian) -> tuple[AdaptedBasis, AdaptedBasis]:

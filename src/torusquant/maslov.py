@@ -21,6 +21,7 @@ from .exact import (
     identity,
     int_inv,
     mat_mul,
+    mat_vec,
     signature,
     solve,
     transpose,
@@ -40,26 +41,19 @@ def triple_index(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
     space = l1.space
     if l2.space != space or l3.space != space:
         raise SpaceMismatch("Lagrangians live in different spaces")
-    r1, r2, r3 = l1.rank, l2.rank, l3.rank
-    om12 = space.block(l1.gens, l2.gens)
-    om23 = space.block(l2.gens, l3.gens)
-    om31 = space.block(l3.gens, l1.gens)
-    n = r1 + r2 + r3
+    r1, r2 = l1.rank, l2.rank
+    n = r1 + r2 + l3.rank
     # twice the symmetric Gram matrix of the quadratic form; the factor 2
     # does not change the signature and keeps every entry an integer
     s = zeros(n, n)
-    for i in range(r1):
-        for j in range(r2):
-            s[i][r1 + j] = om12[i][j]
-            s[r1 + j][i] = om12[i][j]
-    for i in range(r2):
-        for j in range(r3):
-            s[r1 + i][r1 + r2 + j] = om23[i][j]
-            s[r1 + r2 + j][r1 + i] = om23[i][j]
-    for i in range(r3):
-        for j in range(r1):
-            s[r1 + r2 + i][j] = om31[i][j]
-            s[j][r1 + r2 + i] = om31[i][j]
+    for r0, c0, om in (
+        (0, r1, space.block(l1.gens, l2.gens)),
+        (r1, r1 + r2, space.block(l2.gens, l3.gens)),
+        (r1 + r2, 0, space.block(l3.gens, l1.gens)),
+    ):
+        for i, row in enumerate(om):
+            for j, x in enumerate(row):
+                s[r0 + i][c0 + j] = s[c0 + j][r0 + i] = x
     return signature(s).index
 
 
@@ -157,7 +151,7 @@ class SpElement:
         return SpElement(space, freeze(identity(space.dim)))
 
     def apply(self, x) -> tuple:
-        return vec_mat(x, transpose(self.mat))
+        return mat_vec(self.mat, x)
 
     def apply_lagrangian(self, lag: Lagrangian) -> Lagrangian:
         if lag.space != self.space:

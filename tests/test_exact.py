@@ -457,6 +457,153 @@ class TestAgainstReferenceEliminations:
             det(m)
 
 
+def reference_snf(m):
+    """snf as it stood while its row and column passes were two closures;
+    both write out the gcd rotation, so the reference shares no helper."""
+    a = [list(r) for r in m]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    u = identity(nr)
+    v = identity(nc)
+
+    def row_step(t):
+        for i in range(t + 1, nr):
+            b = a[i][t]
+            if b == 0:
+                continue
+            p_ = a[t][t]
+            if p_ != 0 and b % p_ == 0:
+                q = b // p_
+                a[i] = [ri - q * rt for rt, ri in zip(a[t], a[i])]
+                u[i] = [ri - q * rt for rt, ri in zip(u[t], u[i])]
+                continue
+            g, x, y = xgcd(p_, b)
+            pp, qq = p_ // g, b // g
+            rt, ri = a[t], a[i]
+            a[t] = [x * e + y * f for e, f in zip(rt, ri)]
+            a[i] = [-qq * e + pp * f for e, f in zip(rt, ri)]
+            rt, ri = u[t], u[i]
+            u[t] = [x * e + y * f for e, f in zip(rt, ri)]
+            u[i] = [-qq * e + pp * f for e, f in zip(rt, ri)]
+
+    def col_step(t):
+        for j in range(t + 1, nc):
+            b = a[t][j]
+            if b == 0:
+                continue
+            p_ = a[t][t]
+            if p_ != 0 and b % p_ == 0:
+                q = b // p_
+                for i in range(nr):
+                    a[i][j] -= q * a[i][t]
+                for i in range(nc):
+                    v[i][j] -= q * v[i][t]
+                continue
+            g, x, y = xgcd(p_, b)
+            pp, qq = p_ // g, b // g
+            for i in range(nr):
+                at, aj = a[i][t], a[i][j]
+                a[i][t] = x * at + y * aj
+                a[i][j] = -qq * at + pp * aj
+            for i in range(nc):
+                vt, vj = v[i][t], v[i][j]
+                v[i][t] = x * vt + y * vj
+                v[i][j] = -qq * vt + pp * vj
+
+    for t in range(min(nr, nc)):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i, j = best
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            u[t], u[i] = u[i], u[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            for row in v:
+                row[t], row[j] = row[j], row[t]
+        while True:
+            row_step(t)
+            col_step(t)
+            if any(a[i][t] for i in range(t + 1, nr)):
+                continue
+            p_ = a[t][t]
+            culprit = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % p_:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
+            u[t] = [x + y for x, y in zip(u[t], u[culprit])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+    return a, u, v
+
+
+def _degenerate(rows, kind, i, j, c):
+    """rows with row i (kind 1) or column j (kind 2) zeroed, or row i made c
+    times row 0 (kind 3), or column j made c times column 0 (kind 4)."""
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        return rows
+    i %= len(rows)
+    j %= len(rows[0])
+    if kind == 1:
+        rows[i] = [0] * len(rows[0])
+    elif kind == 2:
+        for r in rows:
+            r[j] = 0
+    elif kind == 3:
+        rows[i] = [c * x for x in rows[0]]
+    elif kind == 4:
+        for r in rows:
+            r[j] = c * r[0]
+    return rows
+
+
+def rect_matrix(max_rows=5, max_cols=6):
+    """Integer matrices of every shape from 0 x 0 up to max_rows x max_cols,
+    entries in [-20, 20]; most get a zero or a dependent row or column."""
+
+    def of_shape(shape):
+        r, c = shape
+        rows = st.lists(
+            st.lists(st.integers(-20, 20), min_size=c, max_size=c), min_size=r, max_size=r
+        )
+        return st.builds(
+            _degenerate,
+            rows,
+            st.integers(0, 4),
+            st.integers(0, 4),
+            st.integers(0, 5),
+            st.integers(-3, 3),
+        )
+
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(of_shape)
+
+
+class TestSmithAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(rect_matrix())
+    def test_snf_matches_two_pass_reference(self, m):
+        assert snf(m) == reference_snf(m)
+
+    def test_snf_matches_reference_on_edge_shapes(self):
+        for m in ([], [[]], [[], []], [[0]], [[0, 0, 0]], [[0], [0]], [[7], [0], [-3]]):
+            assert snf(m) == reference_snf(m)
+
+
 # (m, hnf(m), snf(m), coset_reps(m) or None), recorded before hnf and snf
 # shared one gcd rotation; the order of coset_reps fixes the term order of
 # every PhaseTable.

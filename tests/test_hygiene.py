@@ -3,7 +3,8 @@
 No module of the package or of the tests imports a name it never uses; the
 package's __init__.py is exempt, its imports are the public re-exports.
 Every cache in the package has a finite integer size.  Every function the
-benchmark's traced run wraps (perfbench/spans.py, TRACED) exists.
+benchmark's traced run wraps (perfbench/spans.py, TRACED) exists.  Every
+private module-level helper of the package is used somewhere in it.
 """
 
 import ast
@@ -42,6 +43,45 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes named with a leading underscore
+    that no statement of any source references, other than their own
+    definition; sources maps a module name to its text."""
+    defined = {}
+    used = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                defined[stmt.name] = module
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != getattr(stmt, "name", None):
+                    used.add(name)
+    return sorted(f"{module}.{name}" for name, module in defined.items() if name not in used)
+
+
+def test_checker_finds_orphaned_helpers():
+    sources = {
+        "a": "def _kept(): pass\ndef _orphan(): return _orphan()\nclass _Gone: pass\n"
+        "def _method_only(): pass\nclass C:\n    def _method_only(self): pass\n",
+        "b": "from .a import _kept\n",
+        "c": "import a\nx = a._attr()\ndef _attr(): pass\n",
+    }
+    # a method of the same name is a definition, not a use
+    assert orphaned_helpers(sources) == ["a._Gone", "a._method_only", "a._orphan"]
+
+
+def test_private_helpers_are_used():
+    assert orphaned_helpers({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def _name(node):

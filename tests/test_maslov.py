@@ -3,6 +3,7 @@ import random
 import pytest
 
 from torusquant.errors import BaseMismatch, NotTransverse, NotUnimodular, NotSymmetric
+from torusquant.exact import signature, zeros
 from torusquant.lattice import Lagrangian, SymplecticSpace, adapted_basis
 from torusquant.maslov import (
     LagrangianLift,
@@ -69,6 +70,67 @@ class TestTripleIndex:
                 - triple_index(ls[1], ls[2], ls[3])
                 == 0
             )
+
+
+def reference_triple_index(l1, l2, l3):
+    """triple_index as it filled the Gram matrix before one loop took the
+    three pairing blocks: a pair of nested loops per block."""
+    space = l1.space
+    r1, r2, r3 = l1.rank, l2.rank, l3.rank
+    om12 = space.block(l1.gens, l2.gens)
+    om23 = space.block(l2.gens, l3.gens)
+    om31 = space.block(l3.gens, l1.gens)
+    n = r1 + r2 + r3
+    s = zeros(n, n)
+    for i in range(r1):
+        for j in range(r2):
+            s[i][r1 + j] = om12[i][j]
+            s[r1 + j][i] = om12[i][j]
+    for i in range(r2):
+        for j in range(r3):
+            s[r1 + i][r1 + r2 + j] = om23[i][j]
+            s[r1 + r2 + j][r1 + i] = om23[i][j]
+    for i in range(r3):
+        for j in range(r1):
+            s[r1 + r2 + i][j] = om31[i][j]
+            s[j][r1 + r2 + i] = om31[i][j]
+    return signature(s).index
+
+
+class TestTripleIndexAgainstNestedFill:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_ranks_and_repeats(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            space = SP2 if rng.random() < 0.6 else SP1
+            ls = [
+                random_lagrangian(rng, space, rank=rng.randrange(space.g + 1))
+                for _ in range(3)
+            ]
+            # repeat one Lagrangian in about a third of the triples
+            if rng.random() < 0.35:
+                i, j = rng.sample(range(3), 2)
+                ls[j] = ls[i]
+            assert triple_index(*ls) == reference_triple_index(*ls)
+
+    @pytest.mark.parametrize(
+        "ls",
+        [
+            # a rank-0 Lagrangian in each position
+            (Lagrangian.make(SP1, []),) * 3,
+            (Lagrangian.make(SP1, []), L_E1, L_E2),
+            (L_E1, Lagrangian.make(SP1, []), L_DIAG),
+            (L_DIAG, L_E2, Lagrangian.make(SP1, [])),
+            (Lagrangian.make(SP2, []), Lagrangian.make(SP2, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+             Lagrangian.make(SP2, [[0, 0, 1, 0], [0, 1, 0, 1]])),
+            # a repeated Lagrangian
+            (L_E1, L_E1, L_E1),
+            (L_DIAG, L_E2, L_DIAG),
+            (L_E2, L_E2, L_DIAG),
+        ],
+    )
+    def test_rank_zero_and_repeats(self, ls):
+        assert triple_index(*ls) == reference_triple_index(*ls) == 0
 
 
 class TestMaslovIndex:
