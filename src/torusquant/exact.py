@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, NotSymmetric, OddModulus, SingularMatrix
+from .errors import DimensionMismatch, NotSymmetric, OddModulus, SingularMatrix, TooLarge
 
 Matrix = Sequence[Sequence]
 Vector = Sequence
@@ -394,20 +394,35 @@ def solve_underdetermined(a: Matrix, rhs: Vector) -> tuple[Fraction, ...]:
 # coset enumeration: Z^n / A Z^n has exactly |det A| classes
 
 
+# Largest phase table (k^2g entries times the terms per entry) a call may
+# build; coset_box hands out no more classes than that either.
+MAX_TABLE_TERMS = 2**22
+
+
+def coset_box(a: Matrix) -> tuple[list[int], list[list[int]]]:
+    """(diag, W): the classes of Z^n / A Z^n are W r for r in the box
+    prod(range(d) for d in diag), diag the Smith normal form diagonal and W
+    the inverse of its row transform.  More than MAX_TABLE_TERMS classes
+    raise TooLarge before any is enumerated."""
+    n, c = shape(a)
+    if n != c:
+        raise DimensionMismatch("coset enumeration needs a square matrix")
+    d = abs(det(a))
+    if d == 0:
+        raise SingularMatrix("coset enumeration needs det != 0")
+    if d > MAX_TABLE_TERMS:
+        raise TooLarge(f"{d} cosets exceed {MAX_TABLE_TERMS}")
+    s, u, _ = snf(a)
+    return [s[i][i] for i in range(n)], int_inv(u)
+
+
 def coset_reps(a: Matrix) -> list[tuple[int, ...]]:
     """Representatives of Z^n / A Z^n, one per class, |det A| of them.
 
     Enumeration is lexicographic over the Smith normal form diagonal box and
     mapped back through the row transform, so the output is deterministic.
     """
-    n, c = shape(a)
-    if n != c:
-        raise DimensionMismatch("coset enumeration needs a square matrix")
-    if det(a) == 0:
-        raise SingularMatrix("coset enumeration needs det != 0")
-    s, u, _ = snf(a)
-    diag = [s[i][i] for i in range(n)]
-    uinv = int_inv(u)
+    diag, uinv = coset_box(a)
     return [mat_vec(uinv, r) for r in product(*(range(d) for d in diag))]
 
 

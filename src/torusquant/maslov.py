@@ -255,11 +255,15 @@ def mp_generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> MpElement:
     element; for g = 1 that second lift is the one pinned to the matrix
     k^{-1/2} e^{5 pi i/4} e^{2 pi i q q'/k} of the metaplectic action.
     """
+    return MpElement(basis.span(), *_generator(basis, kind, a, b))
+
+
+def _generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> tuple[SpElement, int]:
+    """The symplectic map and the central index z of mp_generator's element."""
     space = basis.space
     g = space.g
-    base = basis.span()
     if kind == "epsilon":
-        return MpElement(base, SpElement.identity(space), 4)
+        return SpElement.identity(space), 4
     if kind == "alpha":
         if a is None:
             raise DimensionMismatch("alpha needs an integer g x g matrix A")
@@ -270,8 +274,7 @@ def mp_generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> MpElement:
         ainv_t = transpose(int_inv(a))
         block = [r + [0] * g for r in a] + [[0] * g + r for r in ainv_t]
         z = 0 if d > 0 else 2
-        return MpElement(base, SpElement(space, freeze(_frame_to_ambient(basis, block))), z)
-    if kind == "beta":
+    elif kind == "beta":
         if b is None:
             raise DimensionMismatch("beta needs a symmetric integer g x g matrix B")
         b = [list(map(int, r)) for r in b]
@@ -279,9 +282,11 @@ def mp_generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> MpElement:
             raise NotSymmetric("B must be symmetric")
         block = [list(row) + list(brow) for row, brow in zip(identity(g), b)]
         block += [[0] * g + list(row) for row in identity(g)]
-        return MpElement(base, SpElement(space, freeze(_frame_to_ambient(basis, block))), 0)
-    if kind == "gamma":
+        z = 0
+    elif kind == "gamma":
         block = [[0] * g + list(row) for row in identity(g)]
         block += [[-x for x in row] + [0] * g for row in identity(g)]
-        return MpElement(base, SpElement(space, freeze(_frame_to_ambient(basis, block))), g % 8)
-    raise ValueError(f"unknown generator kind: {kind!r}")
+        z = g % 8
+    else:
+        raise ValueError(f"unknown generator kind: {kind!r}")
+    return SpElement(space, freeze(_frame_to_ambient(basis, block))), z

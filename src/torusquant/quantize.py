@@ -6,7 +6,14 @@ states are labeled by (Z/kZ)^g in lexicographic order.  Every pairing matrix
 and frame change is held exactly as a PhaseTable: each entry is a Gauss-type
 sum of unit phases e^{i pi n / den} with integer numerators n over one common
 denominator.  The complex floating matrix (numpy), authoritative for
-tolerances, is evaluated from that table in one place, PhaseTable.value().
+tolerances, is evaluated from that table in one place, PhaseTable.value(),
+once per public call; internal steps pass tables.
+
+The numerators come from one integer kernel: numpy int64 arrays over the
+label grid (Z/kZ)^h and the coset grid Z^h / R Z^h, with every integer matrix
+reduced mod 2 den before it multiplies a reduced array.  The table budget,
+MAX_TABLE_TERMS = 2^22 phase terms, gives den <= 2^22 and g <= 11, so every
+intermediate stays below 2^46 g and int64 cannot overflow.
 """
 
 from __future__ import annotations
@@ -31,16 +38,17 @@ from .errors import (
     TransverseInput,
 )
 from .exact import (
+    MAX_TABLE_TERMS,
     PhaseSum,
     UnitPhase,
     adjugate,
+    coset_box,
     coset_reps,
     det,
     frac_inv,
     hnf_rows,
     mat_mul,
     mat_vec,
-    quad_form,
     transpose,
     vec_mat,
 )
@@ -119,11 +127,8 @@ class HilbertSpace:
 LABELS_CACHE_SIZE = 16
 
 
-# Largest phase table (k^2g entries times the terms per entry) a call may
-# build; it is checked before any label or coset is enumerated.
-MAX_TABLE_TERMS = 2**22
-
-
+# A table is checked against MAX_TABLE_TERMS phase terms (k^2g entries times
+# the terms per entry) before any label or coset is enumerated.
 def _check_budget(terms: int) -> None:
     if terms > MAX_TABLE_TERMS:
         raise TooLarge(f"table of {terms} phase terms exceeds {MAX_TABLE_TERMS}")
@@ -132,6 +137,29 @@ def _check_budget(terms: int) -> None:
 @lru_cache(maxsize=LABELS_CACHE_SIZE)
 def _labels(k: int, g: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(k), repeat=g))
+
+
+# ---------------------------------------------------------------------------
+# the integer label kernel: int64 arrays over label and coset grids
+
+
+def _grid(sizes) -> np.ndarray:
+    """The integer vectors of the box prod(range(s) for s in sizes), as the
+    rows of an int64 array in lexicographic (itertools.product) order."""
+    place = np.array([math.prod(sizes[i + 1 :]) for i in range(len(sizes))], dtype=np.int64)
+    index = np.arange(math.prod(sizes), dtype=np.int64)[:, None]
+    return index // place % np.array(sizes, dtype=np.int64)
+
+
+def _mod(m, n: int) -> np.ndarray:
+    """A square integer matrix reduced mod n, as int64."""
+    return np.array([[x % n for x in row] for row in m], dtype=np.int64).reshape(len(m), len(m))
+
+
+def _quad(x: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """x^T m x mod n along the last axis of x, for x and m reduced mod n:
+    every product is of two factors below n, reduced before the next."""
+    return (x * (x @ m.T % n)).sum(axis=-1) % n
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +210,11 @@ class PhaseTable:
         nums = self.nums * (den // self.den) + shift
         return PhaseTable(self.amp2, den, nums % (2 * den), self.live)
 
+    def scaled(self, t) -> "PhaseTable":
+        """Every entry multiplied by e^{i pi t}."""
+        rows, cols = self.live.shape
+        return self.times([t] * rows, [0] * cols)
+
     def between(self, out: "Monomial", back: "Monomial") -> "PhaseTable":
         """The table of the product out . self . back with two monomials."""
         # back is a permutation: rows[j] is the row that holds column j
@@ -207,9 +240,7 @@ class Intertwiner:
         self.matrix = self.exact.value()
 
     def scaled(self, phase: UnitPhase) -> "Intertwiner":
-        rows, cols = self.exact.live.shape
-        exact = self.exact.times([phase.t] * rows, [0] * cols)
-        return Intertwiner(self.source, self.target, exact)
+        return Intertwiner(self.source, self.target, self.exact.scaled(phase.t))
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -255,8 +286,10 @@ def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tupl
     k = h1.k
     b1, b2 = h1.pol.basis, h2.pol.basis
     om21 = space.block(b2.w, b1.w)
-    if det(om21) == 0:
+    d = det(om21)
+    if d == 0:
         raise NotTransverse("polarizations are not transverse")
+    _check_budget(abs(d))
     om21inv = frac_inv(om21)
     points = []
     for l in coset_reps(om21):
@@ -275,16 +308,15 @@ def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tupl
 # closed-form pairing matrices
 
 
-def _closed_form(h1, h2, h) -> Intertwiner:
-    """The pairing matrix from the leading h x h parts R, P, S of the pairing
-    blocks (omega(2,1), omega(2,1perp), omega(2perp,1)) of the two frames;
+def _closed_form(b1: AdaptedBasis, b2: AdaptedBasis, k: int, h: int) -> PhaseTable:
+    """The pairing table from the leading h x h parts R, P, S of the pairing
+    blocks (omega(2,1), omega(2,1perp), omega(2perp,1)) of two frames;
     transverse is h = g.
     Entry (q2, q1) vanishes unless the labels agree past position h; else,
     with a = q1[:h], it is |k^h d|^{-1/2} times the sum over w = q2[:h] + k l,
     l in Z^h / R Z^h, of e^{(pi i/dk)(a^T M1 a - 2 a^T adj(R) w - w^T M3 w)},
     where d = det R, M1 = adj(R) P and M3 = S adj(R)."""
-    k, g = h1.k, h1.g
-    space, b1, b2 = h1.pol.space, h1.pol.basis, h2.pol.basis
+    space, g = b1.space, b1.space.g
     r = space.block(b2.w[:h], b1.w[:h])
     p = space.block(b2.w[:h], b1.wperp[:h])
     s = space.block(b2.wperp[:h], b1.w[:h])
@@ -293,35 +325,31 @@ def _closed_form(h1, h2, h) -> Intertwiner:
     if d == 0:
         raise NotTransverse("polarizations are not transverse")
     _check_budget(k ** (2 * g) * abs(d))
-    adj = adjugate(r)
-    m1 = mat_mul(adj, p)
-    m3 = mat_mul(s, adj)
-    reps = coset_reps(r)
     den = abs(d) * k
-    sign = 1 if d > 0 else -1
-    # The per-label parts are Python ints, reduced mod den or 2 den before
-    # numpy sees them; every int64 intermediate then stays below
-    # (2hk + 4) den, so no table that fits in memory can overflow.
-    head = _labels(k, h)
-    n1 = [sign * quad_form(a, m1, a) % (2 * den) for a in head]
-    n3, adj_w = [], []
-    for q2 in head:
-        ws = [[q + k * li for q, li in zip(q2, l)] for l in reps]
-        n3.append([sign * quad_form(w, m3, w) % (2 * den) for w in ws])
-        adj_w.append([[sign * x % den for x in mat_vec(adj, w)] for w in ws])
-    head, n1, n3, adj_w = (np.array(x, dtype=np.int64) for x in (head, n1, n3, adj_w))
-    cross = np.einsum("ah,bjh->baj", head, adj_w)
-    nums = n1[None, :, None] - 2 * cross - n3[:, None, :]
+    m = 2 * den
+    # The sign of d goes into the matrices, and each one is reduced mod 2 den
+    # (adj(R) mod den) before it meets an int64 label or coset array, which
+    # is reduced too.  The budget gives den <= 2^22 and g <= 11, so every
+    # product has two factors below 2^23 and every sum of them stays below
+    # 2^46 g: no int64 intermediate can overflow.
+    adj = [[x if d > 0 else -x for x in row] for row in adjugate(r)]
+    diag, uinv = coset_box(r)
+    head = _grid((k,) * h)
+    reps = _grid(diag) @ _mod(uinv, m).T % m
+    w = (head[:, None, :] + k * reps[None, :, :]) % m
+    n1 = _quad(head, _mod(mat_mul(adj, p), m), m)
+    n3 = _quad(w, _mod(mat_mul(s, adj), m), m)
+    adj_w = w @ _mod(adj, den).T % den
+    nums = np.einsum("ah,bjh->baj", head, adj_w)
+    nums *= -2
+    nums += n1[None, :, None]
+    nums -= n3[:, None, :]
+    nums %= m
     # lexicographic labels: index = head index * k^(g-h) + tail index
-    idx = np.arange(k**g)
-    head_of, tail_of = np.divmod(idx, k ** (g - h))
-    exact = PhaseTable(
-        abs(k**h * d),
-        den,
-        nums[np.ix_(head_of, head_of)] % (2 * den),
-        tail_of[:, None] == tail_of[None, :],
-    )
-    return Intertwiner(h1, h2, exact)
+    head_of, tail_of = np.divmod(np.arange(k**g), k ** (g - h))
+    if h < g:
+        nums = nums[np.ix_(head_of, head_of)]
+    return PhaseTable(abs(k**h * d), den, nums, tail_of[:, None] == tail_of[None, :])
 
 
 def bks_matrix_transverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
@@ -332,7 +360,7 @@ def bks_matrix_transverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     from the three pairing blocks of the two frames.
     """
     _common_space(h1, h2)
-    return _closed_form(h1, h2, h1.g)
+    return Intertwiner(h1, h2, _closed_form(h1.pol.basis, h2.pol.basis, h1.k, h1.g))
 
 
 def _pair_adapted_or_raise(h1, h2) -> int:
@@ -362,7 +390,8 @@ def bks_matrix_nontransverse(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     h x h reduced pairing blocks.  Identical polarizations give the identity.
     """
     _common_space(h1, h2)
-    return _closed_form(h1, h2, _pair_adapted_or_raise(h1, h2))
+    h = _pair_adapted_or_raise(h1, h2)
+    return Intertwiner(h1, h2, _closed_form(h1.pol.basis, h2.pol.basis, h1.k, h))
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +430,12 @@ def _frame_change(b1: AdaptedBasis, b2: AdaptedBasis, k: int) -> Monomial:
     _check_budget(k ** (2 * g))
     c_inv = space.block(b1.w, b2.wperp)
     s_mat = mat_mul(transpose(c_inv), transpose(space.block(b2.wperp, b1.wperp)))
-    labels = _labels(k, g)
-    index = {q: i for i, q in enumerate(labels)}
-    cols = tuple(index[tuple(x % k for x in mat_vec(c_inv, q2))] for q2 in labels)
-    exps = tuple(-Fraction(quad_form(q2, s_mat, q2), k) for q2 in labels)
-    return Monomial(cols, exps)
+    labels = _grid((k,) * g)
+    place = k ** np.arange(g - 1, -1, -1, dtype=np.int64)
+    cols = (labels @ _mod(c_inv, k).T % k) @ place
+    # the exponent -q^T s q / k matters only mod 2
+    nums = -_quad(labels, _mod(s_mat, 2 * k), 2 * k) % (2 * k)
+    return Monomial(tuple(cols.tolist()), tuple(Fraction(n, k) for n in nums.tolist()))
 
 
 def rebase_unitary(
@@ -426,6 +456,20 @@ def rebase_unitary(
     return Intertwiner(src, dst, _frame_change(b1, b2, k).table())
 
 
+def _pairing(h1: HilbertSpace, h2: HilbertSpace) -> PhaseTable:
+    """The table of bks_matrix(h1, h2)."""
+    _common_space(h1, h2)
+    l1, l2, k = h1.pol.lag, h2.pol.lag, h1.k
+    shared = intersect(l1, l2).rank
+    if shared == 0:
+        return _closed_form(h1.pol.basis, h2.pol.basis, k, h1.g)
+    pb1, pb2 = pair_adapted_bases(l1, l2)
+    mid = _closed_form(pb1, pb2, k, h1.g - shared)
+    out = _frame_change(pb2, h2.pol.basis, k)
+    back = _frame_change(h1.pol.basis, pb1, k)
+    return mid.between(out, back)
+
+
 def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     """Pairing matrix between two polarizations in their own frames.
 
@@ -434,18 +478,7 @@ def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     monomials, so the public matrix always refers to the frames carried by
     h1 and h2 (canonical frames in normal use).
     """
-    _common_space(h1, h2)
-    l1, l2 = h1.pol.lag, h2.pol.lag
-    if intersect(l1, l2).rank == 0:
-        return bks_matrix_transverse(h1, h2)
-    k = h1.k
-    pb1, pb2 = pair_adapted_bases(l1, l2)
-    hp1 = HilbertSpace(k, Polarization(l1, pb1))
-    hp2 = HilbertSpace(k, Polarization(l2, pb2))
-    mid = bks_matrix_nontransverse(hp1, hp2)
-    out = _frame_change(pb2, h2.pol.basis, k)
-    back = _frame_change(h1.pol.basis, pb1, k)
-    return Intertwiner(h1, h2, mid.exact.between(out, back))
+    return Intertwiner(h1, h2, _pairing(h1, h2))
 
 
 def corrected_intertwiner(
@@ -464,4 +497,4 @@ def corrected_intertwiner(
     phase = UnitPhase.of(-Fraction(mu, 4))
     hs1 = HilbertSpace(k, Polarization.canonical(lift1.lag))
     hs2 = HilbertSpace(k, Polarization.canonical(lift2.lag))
-    return bks_matrix(hs1, hs2).scaled(phase)
+    return Intertwiner(hs1, hs2, _pairing(hs1, hs2).scaled(phase.t))

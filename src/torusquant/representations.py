@@ -20,11 +20,12 @@ from .quantize import (
     HilbertSpace,
     Intertwiner,
     Monomial,
+    PhaseTable,
     Polarization,
     _check_budget,
     _check_level,
     _frame_change,
-    bks_matrix,
+    _pairing,
 )
 
 
@@ -161,16 +162,20 @@ def sp_pushforward(b: SpElement, space: HilbertSpace) -> Intertwiner:
     return Intertwiner(space, target, push.table())
 
 
+def _sp_table(b: SpElement, space: HilbertSpace) -> PhaseTable:
+    """The table of U(b): the pairing back from H_{bP} after the pushforward."""
+    target, push = _pushforward(b, space)
+    identity = Monomial(tuple(range(space.dim)), (Fraction(0),) * space.dim)
+    return _pairing(target, space).between(identity, push)
+
+
 def sp_operator(b: SpElement, space: HilbertSpace) -> Intertwiner:
     """U(b) = (pairing map back from H_{bP}) composed with the pushforward.
 
     A projective representation: U(b) U(b') equals U(bb') up to the
     eighth-root-of-unity cocycle fixed by the triple index.
     """
-    target, push = _pushforward(b, space)
-    pairing = bks_matrix(target, space)
-    identity = Monomial(tuple(range(space.dim)), (Fraction(0),) * space.dim)
-    return Intertwiner(space, space, pairing.exact.between(identity, push))
+    return Intertwiner(space, space, _sp_table(b, space))
 
 
 def mp_operator(x: MpElement, space: HilbertSpace) -> Intertwiner:
@@ -178,4 +183,4 @@ def mp_operator(x: MpElement, space: HilbertSpace) -> Intertwiner:
     the integer metaplectic group on the fixed Hilbert space."""
     if x.base != space.pol.lag:
         raise BaseMismatch("element base does not match the Hilbert space")
-    return sp_operator(x.b, space).scaled(UnitPhase.of(Fraction(x.z, 4)))
+    return Intertwiner(space, space, _sp_table(x.b, space).scaled(Fraction(x.z, 4)))

@@ -10,7 +10,9 @@ case counts and tolerances.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,6 +43,7 @@ from .maslov import (
     LagrangianLift,
     MpElement,
     SpElement,
+    _generator,
     maslov_index,
     mp_generator,
     mp_mul,
@@ -185,25 +188,30 @@ def random_symmetric(rng: random.Random, g: int, bound: int = 2) -> list[list[in
     return b
 
 
+def _random_generators(rng: random.Random, basis: AdaptedBasis, length: int):
+    """A seeded word of mp_generator arguments (kind, a, b), drawn in order."""
+    g = basis.space.g
+    word = []
+    for _ in range(length):
+        kind = rng.choice(["alpha", "beta", "gamma", "epsilon"])
+        a = random_unimodular(rng, g) if kind == "alpha" else None
+        b = random_symmetric(rng, g) if kind == "beta" else None
+        word.append((kind, a, b))
+    return word or [("epsilon", None, None)]
+
+
 def random_mp_word(
     rng: random.Random, basis: AdaptedBasis, length: int
 ) -> MpElement:
-    g = basis.space.g
-    word = None
-    for _ in range(length):
-        kind = rng.choice(["alpha", "beta", "gamma", "epsilon"])
-        if kind == "alpha":
-            elem = mp_generator(basis, "alpha", a=random_unimodular(rng, g))
-        elif kind == "beta":
-            elem = mp_generator(basis, "beta", b=random_symmetric(rng, g))
-        else:
-            elem = mp_generator(basis, kind)
-        word = elem if word is None else mp_mul(word, elem)
-    return word if word is not None else mp_generator(basis, "epsilon")
+    word = [mp_generator(basis, *x) for x in _random_generators(rng, basis, length)]
+    return functools.reduce(mp_mul, word)
 
 
 def random_sp(rng: random.Random, basis: AdaptedBasis, length: int = 3) -> SpElement:
-    return random_mp_word(rng, basis, length).b
+    """The map of random_mp_word(rng, basis, length), from the same draws,
+    without the central indices."""
+    word = [_generator(basis, *x)[0] for x in _random_generators(rng, basis, length)]
+    return functools.reduce(operator.mul, word)
 
 
 def random_lift(
@@ -299,12 +307,12 @@ def brute_force_point_count(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> int:
 
 def exact_backend_defect(inter) -> float:
     """Worst entrywise gap between the exact phase table and the float matrix,
-    on a route of its own: exponents folded into [0, den) with a sign and
-    looked up in a phase list built with cmath, not PhaseTable.value()."""
+    on a route of its own: exponents looked up in a phase list built with
+    cmath, not PhaseTable.value(), whose entries from den on are the first
+    den negated (e^{i pi (n + den) / den} = -e^{i pi n / den})."""
     ex = inter.exact
     unit = np.array([cmath.exp(1j * math.pi * n / ex.den) for n in range(ex.den)])
-    sign = np.where(ex.nums < ex.den, 1, -1)
-    sums = (sign * unit[ex.nums % ex.den]).sum(axis=-1) / math.sqrt(ex.amp2)
+    sums = np.concatenate([unit, -unit])[ex.nums].sum(axis=-1) / math.sqrt(ex.amp2)
     return float(np.abs(np.where(ex.live, sums, 0) - inter.matrix).max())
 
 

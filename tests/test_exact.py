@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,13 @@ from torusquant.exact import (
     solve_underdetermined,
     xgcd,
 )
-from torusquant.errors import DimensionMismatch, NotSymmetric, OddModulus, SingularMatrix
+from torusquant.errors import (
+    DimensionMismatch,
+    NotSymmetric,
+    OddModulus,
+    SingularMatrix,
+    TooLarge,
+)
 
 int_entries = st.integers(min_value=-9, max_value=9)
 
@@ -157,6 +164,22 @@ class TestCosets:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             coset_reps([[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[2**23]],
+            [[2**12, 0], [0, -(2**11)]],
+            # 5 x 5 with |det| = 2^23 spread over its invariant factors
+            [[2, 1, 0, 0, 0], [0, 4, 1, 0, 0], [0, 0, 8, 1, 0], [0, 0, 0, 16, 1], [0, 0, 0, 0, 8192]],
+        ],
+    )
+    def test_too_many_cosets_refused_before_enumeration(self, a):
+        assert abs(det(a)) == 2**23
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            coset_reps(a)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSignature:

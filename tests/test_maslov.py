@@ -184,6 +184,18 @@ class TestSpElement:
         b = random_sp(rng, basis)
         assert (b * b.inv()).mat == SpElement.identity(SP1).mat
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_random_sp_is_the_map_of_random_mp_word(self, g):
+        from torusquant.verify import random_mp_word
+
+        space = SymplecticSpace.standard(g)
+        for seed in range(40):
+            basis = adapted_basis(random_lagrangian(random.Random(seed), space))
+            length = seed % 6
+            rng, rng_mp = random.Random(seed), random.Random(seed)
+            assert random_sp(rng, basis, length) == random_mp_word(rng_mp, basis, length).b
+            assert rng.getstate() == rng_mp.getstate()
+
 
 class TestMpGroup:
     def setup_method(self):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusquant import quantize
 from torusquant.errors import (
     BasesNotPairAdapted,
     BasisMismatch,
@@ -23,12 +24,14 @@ from torusquant.exact import (
     PhaseSum,
     UnitPhase,
     adjugate,
+    coset_box,
     coset_reps,
     det,
     frac_inv,
     mat_mul,
     mat_vec,
     quad_form,
+    transpose,
     vec_mat,
 )
 from torusquant.lattice import (
@@ -42,7 +45,10 @@ from torusquant.lattice import (
 from torusquant.maslov import LagrangianLift, maslov_index, triple_index
 from torusquant.quantize import (
     HilbertSpace,
+    Monomial,
+    PhaseTable,
     Polarization,
+    _closed_form,
     bks_matrix,
     bks_matrix_nontransverse,
     bks_matrix_transverse,
@@ -61,6 +67,7 @@ from torusquant.verify import (
     random_lagrangian,
     random_lift,
     random_pair,
+    random_sp,
     random_symmetric,
     random_unimodular,
 )
@@ -525,8 +532,8 @@ def _reference_bks(h1, h2):
     hp1 = HilbertSpace(k, Polarization(l1, pb1))
     hp2 = HilbertSpace(k, Polarization(l2, pb2))
     mid = _reference_pairing(hp1, hp2, h1.g - s)
-    out = _frame_change(pb2, h2.pol.basis, k)
-    back = _frame_change(h1.pol.basis, pb1, k)
+    out = reference_frame_change(pb2, h2.pol.basis, k)
+    back = reference_frame_change(h1.pol.basis, pb1, k)
     rows = sorted(range(h1.dim), key=back.cols.__getitem__)
     out_phases = [UnitPhase.of(t) for t in out.exps]
     back_phases = [UnitPhase.of(t) for t in back.exps]
@@ -595,3 +602,263 @@ class TestAgainstPhaseSumReference:
         f = bks_matrix(h1, h2)
         assert f.exact.nums.shape == (2, 2, 10001)
         _assert_matches_reference(f, _reference_bks(h1, h2))
+
+
+# ---------------------------------------------------------------------------
+# the per-label Python loops that the int64 label kernel replaced, kept as
+# the references for _closed_form and _frame_change
+
+
+def reference_closed_form(b1, b2, k, h, reps=None):
+    """The pairing table with its per-label parts built as Python ints, one
+    quad_form and mat_vec per (label, coset) pair; reps defaults to every
+    coset of Z^h / R Z^h in coset_reps order."""
+    space, g = b1.space, b1.space.g
+    r = space.block(b2.w[:h], b1.w[:h])
+    p = space.block(b2.w[:h], b1.wperp[:h])
+    s = space.block(b2.wperp[:h], b1.w[:h])
+    d = det(r)
+    adj = adjugate(r)
+    m1 = mat_mul(adj, p)
+    m3 = mat_mul(s, adj)
+    reps = coset_reps(r) if reps is None else reps
+    den = abs(d) * k
+    sign = 1 if d > 0 else -1
+    head = list(product(range(k), repeat=h))
+    n1 = [sign * quad_form(a, m1, a) % (2 * den) for a in head]
+    n3, adj_w = [], []
+    for q2 in head:
+        ws = [[q + k * li for q, li in zip(q2, l)] for l in reps]
+        n3.append([sign * quad_form(w, m3, w) % (2 * den) for w in ws])
+        adj_w.append([[sign * x % den for x in mat_vec(adj, w)] for w in ws])
+    head, n1, n3, adj_w = (np.array(x, dtype=np.int64) for x in (head, n1, n3, adj_w))
+    cross = np.einsum("ah,bjh->baj", head, adj_w)
+    nums = n1[None, :, None] - 2 * cross - n3[:, None, :]
+    head_of, tail_of = np.divmod(np.arange(k**g), k ** (g - h))
+    return PhaseTable(
+        abs(k**h * d),
+        den,
+        nums[np.ix_(head_of, head_of)] % (2 * den),
+        tail_of[:, None] == tail_of[None, :],
+    )
+
+
+def reference_frame_change(b1, b2, k):
+    """The frame-change monomial built label by label: a mat_vec, a
+    quad_form and a Fraction per label."""
+    space = b1.space
+    c_inv = space.block(b1.w, b2.wperp)
+    s_mat = mat_mul(transpose(c_inv), transpose(space.block(b2.wperp, b1.wperp)))
+    labels = list(product(range(k), repeat=space.g))
+    index = {q: i for i, q in enumerate(labels)}
+    cols = tuple(index[tuple(x % k for x in mat_vec(c_inv, q2))] for q2 in labels)
+    exps = tuple(-Fraction(quad_form(q2, s_mat, q2), k) for q2 in labels)
+    return Monomial(cols, exps)
+
+
+def _assert_same_table(got, want):
+    assert (got.amp2, got.den) == (want.amp2, want.den)
+    assert got.nums.dtype == want.nums.dtype == np.int64
+    assert np.array_equal(got.nums, want.nums)
+    assert np.array_equal(got.live, want.live)
+
+
+def _pair_with_h_own(g, h, bs, a_s, move_seed):
+    """Two Lagrangians whose pairing has h own pairs: span(e) against rows
+    a_i e_i + b_i f_i (i < h) and e_i (i >= h), so |det R| = prod |b_i|;
+    a seeded symplectic map moves both."""
+    space = SymplecticSpace.standard(g)
+    unit = [[int(j == i) for j in range(2 * g)] for i in range(g)]
+    rows = [list(row) for row in unit]
+    for i, (a, b) in enumerate(zip(a_s, bs)):
+        rows[i][i], rows[i][g + i] = a, b
+    l1, l2 = Lagrangian.make(space, unit), Lagrangian.make(space, rows)
+    move = random_sp(random.Random(move_seed), adapted_basis(l1), 3)
+    return move.apply_lagrangian(l1), move.apply_lagrangian(l2)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    g = draw(st.integers(1, 3))
+    h = draw(st.integers(0, g))
+    k = draw(st.sampled_from((2, 4) if g < 3 else (2,)))
+    b0 = draw(st.integers(1, 300) if g == 1 else st.integers(1, 60))
+    bs = [b0] + [draw(st.integers(1, 3)) for _ in range(h - 1)]
+    bs = [b * draw(st.sampled_from((1, -1))) for b in bs][:h]
+    a_s = [draw(st.integers(-9, 9).filter(lambda a, b=b: math.gcd(a, b) == 1)) for b in bs]
+    return g, h, k, bs, a_s, draw(st.integers(0, 2**16)), draw(st.booleans())
+
+
+class TestLabelKernel:
+    @given(_kernel_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_the_python_loops(self, inputs):
+        g, h, k, bs, a_s, seed, twist = inputs
+        l1, l2 = _pair_with_h_own(g, h, bs, a_s, seed)
+        if h == g:
+            b1, b2 = adapted_basis(l1), adapted_basis(l2)
+            if twist:
+                # transverse frames need not share anything
+                rng = random.Random(seed)
+                b1, b2 = _twisted_frame(rng, b1), _twisted_frame(rng, b2)
+        else:
+            b1, b2 = pair_adapted_bases(l1, l2)
+        assert g - intersect(l1, l2).rank == h
+        _assert_same_table(_closed_form(b1, b2, k, h), reference_closed_form(b1, b2, k, h))
+
+    def test_both_signs_of_det(self):
+        # at g = 1 swapping the frames flips the sign of det R
+        signs = set()
+        for b in (5, 7, 299):
+            l1, l2 = _pair_with_h_own(1, 1, [b], [2], 3)
+            b1, b2 = adapted_basis(l1), adapted_basis(l2)
+            for f1, f2 in ((b1, b2), (b2, b1)):
+                signs.add(det(SP1.block(f2.w, f1.w)) > 0)
+                _assert_same_table(_closed_form(f1, f2, 6, 1), reference_closed_form(f1, f2, 6, 1))
+        assert signs == {True, False}
+
+    @given(st.integers(1, 3), st.sampled_from((2, 4, 6)), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_frame_change_matches_the_python_loop(self, g, k, seed):
+        if g == 3:
+            k = 2
+        rng = random.Random(seed)
+        space = SymplecticSpace.standard(g)
+        l1, l2 = random_pair(rng, space)
+        b = adapted_basis(l1)
+        frames = [(b, _twisted_frame(rng, b)), (_twisted_frame(rng, b), b)]
+        if intersect(l1, l2).rank:
+            pb1, pb2 = pair_adapted_bases(l1, l2)
+            frames += [(b, pb1), (pb2, adapted_basis(l2))]
+        for f1, f2 in frames:
+            got, want = _frame_change(f1, f2, k), reference_frame_change(f1, f2, k)
+            assert got.cols == want.cols
+            assert all((x - y) % 2 == 0 for x, y in zip(got.exps, want.exps))
+            _assert_same_table(got.table(), want.table())
+
+    @pytest.mark.parametrize("g,d", [(1, 2**20 - 3), (2, 2**18 - 5)])
+    def test_near_the_budget_edge(self, g, d):
+        # den = 2 |d| near 2^21, the largest the budget admits, with frame
+        # entries near den / 4; one of the two directions reduces M3 to about
+        # den, where w^T M3 w alone would need about 2^65 unreduced
+        a = 2**19 + 1 if g == 1 else 2**17 + 1
+        l1, l2 = _pair_with_h_own(g, g, [d] + [1] * (g - 1), [a] + [1] * (g - 1), 0)
+        space = SymplecticSpace.standard(g)
+        rng = random.Random(g)
+        for b1, b2 in [(adapted_basis(l1), adapted_basis(l2))] + [(adapted_basis(l2), adapted_basis(l1))]:
+            r = space.block(b2.w, b1.w)
+            assert abs(det(r)) == d and 2**22 // 2 ** (2 * g) - d < 8
+            table = _closed_form(b1, b2, 2, g)
+            assert table.nums.shape == (2**g, 2**g, d) and table.den == 2 * d
+            # box index j -> box point (lexicographic) -> coset representative
+            diag, uinv = coset_box(r)
+            js = sorted(rng.sample(range(d), 64)) + [0, d - 1]
+            reps = []
+            for j in js:
+                point = []
+                for size in reversed(diag):
+                    j, x = divmod(j, size)
+                    point.append(x)
+                reps.append(mat_vec(uinv, point[::-1]))
+            want = reference_closed_form(b1, b2, 2, g, reps)
+            assert np.array_equal(table.nums[:, :, js], want.nums)
+
+    def test_large_det_is_fast(self):
+        # the per-label Python loops took 2 s here
+        h1, h2 = hilbert(L_E1, 2), hilbert(Lagrangian.make(SP1, [[3, 100001]]), 2)
+        start = time.perf_counter()
+        f = bks_matrix(h1, h2)
+        assert time.perf_counter() - start < 1.0
+        assert f.exact.nums.shape == (2, 2, 100001)
+
+
+class TestOneFloatMatrixPerCall:
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        count = [0]
+        value = PhaseTable.value
+
+        def counted(table):
+            count[0] += 1
+            return value(table)
+
+        monkeypatch.setattr(PhaseTable, "value", counted)
+        return count
+
+    def test_pairings(self, evaluations):
+        rng = random.Random(8)
+        seen = set()
+        while len(seen) < 2:
+            l1, l2 = random_pair(rng, SP2)
+            seen.add(intersect(l1, l2).rank > 0)
+            for call in (
+                lambda: bks_matrix(hilbert(l1, 2), hilbert(l2, 2)),
+                lambda: corrected_intertwiner(
+                    random_lift(rng, l1, l1), random_lift(rng, l1, l2), 2
+                ),
+            ):
+                evaluations[0] = 0
+                call()
+                assert evaluations[0] == 1
+
+    def test_operators(self, evaluations):
+        from torusquant.representations import mp_operator, sp_operator
+        from torusquant.verify import random_mp_word
+
+        rng = random.Random(9)
+        hs = hilbert(random_lagrangian(rng, SP2), 4)
+        for call in (
+            lambda: sp_operator(random_sp(rng, hs.pol.basis, 3), hs),
+            lambda: mp_operator(random_mp_word(rng, hs.pol.basis, 3), hs),
+        ):
+            evaluations[0] = 0
+            call()
+            assert evaluations[0] == 1
+
+
+class TestCosetBudget:
+    def test_intersection_points_refuse_too_many_cosets(self):
+        # |det omega21| = 2^23 intersection points per label pair
+        h1, h2 = hilbert(L_E1, 2), hilbert(Lagrangian.make(SP1, [[1, 2**23]]), 2)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            intersection_points(h1, h2, (0,), (0,))
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_quantize_budget_binds_intersection_points(self, monkeypatch):
+        h1, h2 = hilbert(L_E1, 2), hilbert(L_SLANT, 2)
+        assert len(intersection_points(h1, h2, (1,), (0,))) == 2
+        monkeypatch.setattr(quantize, "MAX_TABLE_TERMS", 1)
+        with pytest.raises(TooLarge):
+            intersection_points(h1, h2, (1,), (0,))
+
+
+def reference_exact_backend_defect(inter):
+    """The sign-and-modulus fold exact_backend_defect used before its phase
+    list held both signs."""
+    ex = inter.exact
+    unit = np.array([cmath.exp(1j * math.pi * n / ex.den) for n in range(ex.den)])
+    sign = np.where(ex.nums < ex.den, 1, -1)
+    sums = (sign * unit[ex.nums % ex.den]).sum(axis=-1) / math.sqrt(ex.amp2)
+    return float(np.abs(np.where(ex.live, sums, 0) - inter.matrix).max())
+
+
+class TestExactBackendDefect:
+    def test_same_float_as_the_sign_fold(self):
+        from torusquant.representations import mp_operator
+        from torusquant.verify import random_mp_word
+
+        rng = random.Random(12)
+        for g, k in ((1, 4), (1, 6), (2, 2), (2, 4)):
+            space = SymplecticSpace.standard(g)
+            for _ in range(4):
+                l1, l2 = random_pair(rng, space)
+                f = bks_matrix(hilbert(l1, k), hilbert(l2, k))
+                u = mp_operator(random_mp_word(rng, f.source.pol.basis, 3), f.source)
+                for inter in (f, u):
+                    assert exact_backend_defect(inter) == reference_exact_backend_defect(inter)
+                    # a wrong numerator and a wrong float give a nonzero gap
+                    inter.exact.nums[0, 0, 0] = (inter.exact.nums[0, 0, 0] + 1) % (2 * inter.exact.den)
+                    inter.matrix[-1, -1] += 1e-3
+                    gap = exact_backend_defect(inter)
+                    assert gap > 1e-4 and gap == reference_exact_backend_defect(inter)
