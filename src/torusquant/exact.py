@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSymmetric, OddModulus, SingularMatrix, TooLarge
@@ -29,8 +30,9 @@ Vector = Sequence
 def shape(m: Matrix) -> tuple[int, int]:
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    if any(len(r) != cols for r in m):
-        raise DimensionMismatch("matrix is not rectangular")
+    for r in m:
+        if len(r) != cols:
+            raise DimensionMismatch("matrix is not rectangular")
     return rows, cols
 
 
@@ -53,21 +55,21 @@ def mat_mul(a: Matrix, b: Matrix) -> list[list]:
     if ca != rb:
         raise DimensionMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(m: Matrix, v: Vector) -> tuple:
-    r, c = shape(m)
+    _, c = shape(m)
     if len(v) != c:
         raise DimensionMismatch("matrix/vector size mismatch")
-    return tuple(sum(m[i][j] * v[j] for j in range(c)) for i in range(r))
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def vec_mat(v: Vector, m: Matrix) -> tuple:
-    r, c = shape(m)
+    r, _ = shape(m)
     if len(v) != r:
         raise DimensionMismatch("vector/matrix size mismatch")
-    return tuple(sum(v[i] * m[i][j] for i in range(r)) for j in range(c))
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def dot(u: Vector, v: Vector):
@@ -76,16 +78,8 @@ def dot(u: Vector, v: Vector):
     return sum(x * y for x, y in zip(u, v))
 
 
-def vec_add(u: Vector, v: Vector) -> tuple:
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> tuple:
     return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v: Vector) -> tuple:
-    return tuple(c * x for x in v)
 
 
 def freeze(m: Matrix) -> tuple[tuple, ...]:
@@ -153,48 +147,47 @@ def _rotate(mats: Sequence[list[list[int]]], t: int, i: int, a: int, b: int) -> 
         m[i] = [-q * e + p * f for e, f in zip(rt, ri)]
 
 
-def hnf(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form.
-
-    Returns (H, U) with U unimodular, U*m = H, pivots positive, entries above
-    each pivot reduced into [0, pivot), zero rows at the bottom.
-    """
-    rows = [list(r) for r in m]
+def _hnf(mats: Sequence[list[list[int]]]) -> None:
+    """Row Hermite normal form of mats[0] in place, pivots positive, entries
+    above each pivot reduced into [0, pivot), zero rows at the bottom; every
+    row operation is applied to the other matrices of mats (the transform)."""
+    rows = mats[0]
     nr, nc = shape(rows)
-    u = identity(nr)
     r = 0
     for c in range(nc):
         piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            u[r], u[piv] = u[piv], u[r]
+        for m in mats:
+            m[r], m[piv] = m[piv], m[r]
         for i in range(r + 1, nr):
-            b = rows[i][c]
-            if b == 0:
-                continue
-            _rotate((rows, u), r, i, rows[r][c], b)
+            if rows[i][c]:
+                _rotate(mats, r, i, rows[r][c], rows[i][c])
         if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-            u[r] = [-x for x in u[r]]
+            for m in mats:
+                m[r] = [-x for x in m[r]]
         for i in range(r):
             q = rows[i][c] // rows[r][c]
             if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                for m in mats:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
         r += 1
         if r == nr:
             break
+
+
+def hnf(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form: (H, U) with U unimodular and U*m = H."""
+    rows, u = [list(r) for r in m], identity(len(m))
+    _hnf((rows, u))
     return rows, u
 
 
 def hnf_rows(m: Matrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis (HNF, zero rows dropped) of the row lattice of m."""
-    if not m:
-        return ()
-    h, _ = hnf(m)
-    return tuple(tuple(r) for r in h if any(r))
+    rows = [list(r) for r in m]
+    _hnf((rows,))
+    return tuple(tuple(r) for r in rows if any(r))
 
 
 def left_kernel(m: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -207,10 +200,11 @@ def right_kernel(m: Matrix) -> tuple[tuple[int, ...], ...]:
     return left_kernel(transpose(m))
 
 
-def _clear_below(m: list[list[int]], u: list[list[int]], t: int) -> None:
-    """Zero column t of m below row t by row operations, applied to u too:
-    plain subtraction when the pivot divides the entry, the gcd rotation
-    (which strictly shrinks the pivot) only when it does not."""
+def _clear_below(mats: Sequence[list[list[int]]], t: int) -> None:
+    """Zero column t of mats[0] below row t by row operations, applied to all
+    of mats: plain subtraction when the pivot divides the entry, the gcd
+    rotation (which strictly shrinks the pivot) only when it does not."""
+    m = mats[0]
     for i in range(t + 1, len(m)):
         b = m[i][t]
         if b == 0:
@@ -218,44 +212,35 @@ def _clear_below(m: list[list[int]], u: list[list[int]], t: int) -> None:
         p = m[t][t]
         if p != 0 and b % p == 0:
             q = b // p
-            m[i] = [ri - q * rt for rt, ri in zip(m[t], m[i])]
-            u[i] = [ri - q * rt for rt, ri in zip(u[t], u[i])]
+            for x in mats:
+                x[i] = [ri - q * rt for rt, ri in zip(x[t], x[i])]
         else:
-            _rotate((m, u), t, i, p, b)
+            _rotate(mats, t, i, p, b)
 
 
-def snf(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form: (S, U, V) with U*m*V = S diagonal, d1 | d2 | ...
-
-    Diagonal entries are nonnegative; U, V are unimodular.  Columns are
-    cleared as the rows of the transpose, so V is kept transposed throughout.
-    """
-    a = [list(r) for r in m]
+def _snf(a: list[list[int]], us: tuple, vts: tuple) -> list[list[int]]:
+    """Smith normal form of a, diagonal nonnegative, d1 | d2 | ...  Row
+    operations apply to the matrices of us too; columns are cleared as the
+    rows of the transpose, so column operations apply to the rows of vts."""
     nr, nc = shape(a)
-    u = identity(nr)
-    vt = identity(nc)
     for t in range(min(nr, nc)):
         # deterministic pivot: smallest |entry| in the trailing block, first wins
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not nonzero:
             break
-        i, j = best
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            u[t], u[i] = u[i], u[t]
+        _, i, j = min(nonzero)
+        for m in (a, *us):
+            m[t], m[i] = m[i], m[t]
         if j != t:
             for row in a:
                 row[t], row[j] = row[j], row[t]
-            vt[t], vt[j] = vt[j], vt[t]
+            for m in vts:
+                m[t], m[j] = m[j], m[t]
         while True:
-            _clear_below(a, u, t)
+            _clear_below((a, *us), t)
             if any(a[t][t + 1 :]):
                 at = transpose(a)
-                _clear_below(at, vt, t)
+                _clear_below((at, *vts), t)
                 a = transpose(at)
             if any(a[i][t] for i in range(t + 1, nr)):
                 continue
@@ -266,16 +251,27 @@ def snf(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
             )
             if culprit is None:
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
-            u[t] = [x + y for x, y in zip(u[t], u[culprit])]
+            for m in (a, *us):
+                m[t] = [x + y for x, y in zip(m[t], m[culprit])]
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return a, u, transpose(vt)
+            for m in (a, *us):
+                m[t] = [-x for x in m[t]]
+    return a
+
+
+def snf(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form: (S, U, V) with U*m*V = S diagonal, d1 | d2 | ...
+
+    Diagonal entries are nonnegative; U, V are unimodular.
+    """
+    a = [list(r) for r in m]
+    nr, nc = shape(a)
+    u, vt = identity(nr), identity(nc)
+    return _snf(a, (u,), (vt,)), u, transpose(vt)
 
 
 def invariant_factors(m: Matrix) -> tuple[int, ...]:
-    s, _, _ = snf(m)
+    s = _snf([list(r) for r in m], (), ())
     return tuple(s[i][i] for i in range(min(shape(s))) if s[i][i] != 0)
 
 
@@ -444,54 +440,59 @@ class Signature(NamedTuple):
 def signature(s: Matrix) -> Signature:
     """Exact inertia of a symmetric rational matrix.
 
-    Symmetric pivoting over the rationals: 1x1 pivots on nonzero diagonal
-    entries, hyperbolic 2x2 pivots when the active diagonal vanishes.  No
-    floating arithmetic anywhere.
+    Symmetric pivoting: 1x1 pivots on nonzero diagonal entries, hyperbolic
+    2x2 pivots when the active diagonal vanishes.  The arithmetic is
+    fraction-free: the entries are cleared of denominators, each Schur
+    complement is scaled by |p| after a 1x1 pivot p and by b^2 after a 2x2
+    pivot b, and the active block is then divided by the gcd of its entries.
+    Positive scalings keep the inertia (Sylvester's law of inertia).
     """
     n, c = shape(s)
     if n != c:
         raise DimensionMismatch("signature of a nonsquare matrix")
-    a = [[Fraction(x) for x in row] for row in s]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise NotSymmetric("matrix is not symmetric")
+    a = [list(row) for row in s]
+    if not all(type(x) is int for row in a for x in row):
+        a = [[Fraction(x) for x in row] for row in a]
+        den = math.lcm(*(x.denominator for row in a for x in row))
+        a = [[int(x * den) for x in row] for row in a]
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise NotSymmetric("matrix is not symmetric")
     active = list(range(n))
     n_plus = n_minus = n_zero = 0
     while active:
         piv = next((i for i in active if a[i][i] != 0), None)
         if piv is not None:
             p = a[piv][piv]
-            if p > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
+            n_plus, n_minus = n_plus + (p > 0), n_minus + (p < 0)
             active.remove(piv)
+            prow, scale = a[piv], abs(p)
             for i in active:
-                f = a[i][piv] / p
-                if f:
-                    for j in active:
-                        a[i][j] -= f * a[piv][j]
-            continue
-        pair = next(
-            ((i, j) for i in active for j in active if j > i and a[i][j] != 0), None
-        )
-        if pair is None:
-            n_zero += len(active)
-            break
-        i0, j0 = pair
-        b = a[i0][j0]
-        # the block [[0, b], [b, 0]] contributes one of each sign
-        n_plus += 1
-        n_minus += 1
-        active.remove(i0)
-        active.remove(j0)
-        for i in active:
-            ci, cj = a[i][i0], a[i][j0]
-            if ci == 0 and cj == 0:
-                continue
-            for j in active:
-                a[i][j] -= (ci * a[j0][j] + cj * a[i0][j]) / b
+                row = a[i]
+                f = row[piv] if p > 0 else -row[piv]
+                for j in active:
+                    row[j] = row[j] * scale - f * prow[j]
+        else:
+            pair = next(
+                ((i, j) for i in active for j in active if j > i and a[i][j] != 0), None
+            )
+            if pair is None:
+                n_zero += len(active)
+                break
+            i0, j0 = pair
+            b = a[i0][j0]
+            # the block [[0, b], [b, 0]] contributes one of each sign
+            n_plus, n_minus = n_plus + 1, n_minus + 1
+            active = [i for i in active if i not in pair]
+            r0, r1, bb = a[i0], a[j0], b * b
+            for i in active:
+                row = a[i]
+                ci, cj = b * row[i0], b * row[j0]
+                for j in active:
+                    row[j] = row[j] * bb - ci * r1[j] - cj * r0[j]
+        g = math.gcd(*(a[i][j] for i in active for j in active))
+        if g > 1:
+            for i in active:
+                a[i] = [x // g for x in a[i]]
     return Signature(n_plus, n_minus, n_zero)
 
 

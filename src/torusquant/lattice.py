@@ -8,7 +8,8 @@ the pairing is omega(x, y) = x . gram . y^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -25,19 +26,18 @@ from .exact import (
     invariant_factors,
     left_kernel,
     multixgcd,
-    vec_add,
     vec_mat,
-    vec_scale,
-    vec_sub,
 )
 
 
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """(V, omega) of dimension 2g with the self-dual lattice Z^2g."""
+    """(V, omega) of dimension 2g with the self-dual lattice Z^2g; terms
+    holds the nonzero gram entries (i, j, gram[i][j]), which omega sums."""
 
     g: int
     gram: tuple[tuple[int, ...], ...]
+    terms: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = 2 * self.g
@@ -46,15 +46,17 @@ class SymplecticSpace:
             raise DimensionMismatch("g must be positive")
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise DimensionMismatch("gram matrix must be 2g x 2g")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != -self.gram[j][i]:
-                    raise NotIsotropic("gram matrix must be skew-symmetric")
+        if any(self.gram[i][j] != -self.gram[j][i] for i in range(n) for j in range(n)):
+            raise NotIsotropic("gram matrix must be skew-symmetric")
         if det(self.gram) != 1:
             raise NotUnimodular("lattice is not self-dual (det gram != 1)")
+        terms = tuple((i, j, c) for i, row in enumerate(self.gram) for j, c in enumerate(row) if c)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
+    @lru_cache(maxsize=8, typed=True)
     def standard(g: int) -> "SymplecticSpace":
+        """The standard form of rank 2g, one shared instance per g."""
         gram = [[0] * (2 * g) for _ in range(2 * g)]
         for i in range(g):
             gram[i][g + i] = 1
@@ -66,14 +68,13 @@ class SymplecticSpace:
         return 2 * self.g
 
     def omega(self, x, y):
-        """The symplectic pairing x . gram . y^T, exact."""
-        if len(x) != self.dim or len(y) != self.dim:
+        """The symplectic pairing x . gram . y^T, exact: a sum over the
+        nonzero gram entries, 2g terms for the standard form."""
+        if len(x) != len(self.gram) or len(y) != len(self.gram):
             raise DimensionMismatch("vectors must have length 2g")
         total = 0
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gram[i]
-                total += xi * sum(row[j] * y[j] for j in range(self.dim) if y[j])
+        for i, j, c in self.terms:
+            total += c * x[i] * y[j]
         return total
 
     def block(self, rows_a, rows_b) -> tuple[tuple, ...]:
@@ -82,6 +83,16 @@ class SymplecticSpace:
         Swapping the arguments gives minus the transpose.
         """
         return tuple(tuple(self.omega(a, b) for b in rows_b) for a in rows_a)
+
+
+def _lattice_int(x) -> int:
+    """x as an int when it is integral; NotPrimitive otherwise."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise NotPrimitive("generators must be integer lattice vectors")
 
 
 @dataclass(frozen=True)
@@ -103,18 +114,19 @@ class Lagrangian:
             raise NotPrimitive("generator rows are linearly dependent")
         if len(canon) > self.space.g:
             raise NotIsotropic("more than g independent isotropic generators")
-        facs = invariant_factors(canon) if canon else ()
-        if any(f != 1 for f in facs):
+        if canon and any(f != 1 for f in invariant_factors(canon)):
             raise NotPrimitive("sublattice is not primitive")
-        for i, u in enumerate(canon):
-            for v in canon[i:]:
-                if self.space.omega(u, v) != 0:
-                    raise NotIsotropic("generators do not span an isotropic subspace")
+        # omega(u, u) = 0 and omega(v, u) = -omega(u, v): pairs u before v decide
+        om = self.space.omega
+        if any(om(u, v) for i, u in enumerate(canon) for v in canon[i + 1 :]):
+            raise NotIsotropic("generators do not span an isotropic subspace")
         object.__setattr__(self, "gens", canon)
 
     @classmethod
     def make(cls, space: SymplecticSpace, rows) -> "Lagrangian":
-        return cls(space, tuple(tuple(int(x) for x in r) for r in rows))
+        """The Lagrangian spanned by rows of integral values (such as numpy
+        integers or Fraction(2, 1)); other entries raise NotPrimitive."""
+        return cls(space, tuple(tuple(_lattice_int(x) for x in r) for r in rows))
 
     @property
     def rank(self) -> int:
@@ -177,8 +189,7 @@ def _project_out(space: SymplecticSpace, x, u, v):
     """Project x into the symplectic complement of the unimodular pair (u, v)."""
     a = space.omega(v, x)
     b = space.omega(u, x)
-    out = vec_add(x, vec_scale(a, u))
-    return vec_sub(out, vec_scale(b, v))
+    return tuple(xi + a * ui - b * vi for xi, ui, vi in zip(x, u, v))
 
 
 def _span_pairs(space: SymplecticSpace, pending, remaining):
@@ -223,12 +234,8 @@ def adapted_basis(lag: Lagrangian) -> AdaptedBasis:
     """
     space = lag.space
     head, rem = _span_pairs(space, lag.gens, identity(space.dim))
-    pairs = head + _complete_pairs(space, rem)
-    return AdaptedBasis(
-        space,
-        tuple(u for u, _ in pairs),
-        tuple(v for _, v in pairs),
-    )
+    w, wperp = zip(*(head + _complete_pairs(space, rem)))
+    return AdaptedBasis(space, w, wperp)
 
 
 def intersect(l1: Lagrangian, l2: Lagrangian) -> Lagrangian:
@@ -238,9 +245,7 @@ def intersect(l1: Lagrangian, l2: Lagrangian) -> Lagrangian:
     if l1.rank == 0 or l2.rank == 0:
         return Lagrangian.make(l1.space, [])
     stacked = list(l1.gens) + list(l2.gens)
-    vecs = []
-    for krow in left_kernel(stacked):
-        vecs.append(vec_mat(krow[: l1.rank], l1.gens))
+    vecs = [vec_mat(krow[: l1.rank], l1.gens) for krow in left_kernel(stacked)]
     return Lagrangian.make(l1.space, vecs)
 
 
@@ -274,11 +279,7 @@ def pair_adapted_bases(l1: Lagrangian, l2: Lagrangian) -> tuple[AdaptedBasis, Ad
         return pairs
 
     def assemble(own):
-        seq = own + shared
-        return AdaptedBasis(
-            space,
-            tuple(u for u, _ in seq),
-            tuple(v for _, v in seq),
-        )
+        w, wperp = zip(*(own + shared))
+        return AdaptedBasis(space, w, wperp)
 
     return assemble(own_pairs(l1)), assemble(own_pairs(l2))

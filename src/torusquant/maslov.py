@@ -141,9 +141,10 @@ class SpElement:
             raise DimensionMismatch("matrix must be 2g x 2g")
         if any(not isinstance(x, int) for r in self.mat for x in r):
             raise NotUnimodular("matrix must preserve the integer lattice")
-        gram = [list(r) for r in self.space.gram]
-        lhs = mat_mul(mat_mul(transpose(self.mat), gram), self.mat)
-        if freeze(lhs) != self.space.gram:
+        # (mat^T gram mat)[a][b] = omega(column a, column b); the form is
+        # skew, so the entries with a < b decide the rest
+        cols, om, gram = tuple(zip(*self.mat)), self.space.omega, self.space.gram
+        if any(om(cols[a], cols[b]) != gram[a][b] for a in range(n) for b in range(a + 1, n)):
             raise NotSymmetric("matrix does not preserve the symplectic form")
 
     @staticmethod

@@ -59,13 +59,6 @@ class HeisenbergElement:
         return vec_mat(coeffs, self.frame.basis.stack)
 
 
-def _frame_omega(space: SymplecticSpace, a, b):
-    """Pairing of frame-coordinate vectors: the frame is symplectic, so the
-    gram in frame coordinates is the standard block form."""
-    g = space.g
-    return sum(a[i] * b[g + i] - a[g + i] * b[i] for i in range(g))
-
-
 def heisenberg_mul(x: HeisenbergElement, y: HeisenbergElement) -> HeisenbergElement:
     """Product in the operator convention T_V T_V' = e^{i pi k w(V,V')} T_{V+V'},
     with the carry correction that re-expresses T on canonical coordinates.
@@ -77,11 +70,12 @@ def heisenberg_mul(x: HeisenbergElement, y: HeisenbergElement) -> HeisenbergElem
     if x.k != y.k or x.frame != y.frame:
         raise FrameMismatch("elements live over different frames")
     k = x.k
-    space = x.frame.space
+    # frames are symplectic: frame coordinates pair by the standard form
+    frame_omega = SymplecticSpace.standard(x.frame.space.g).omega
     total = [a + b for a, b in zip(x.n, y.n)]
     reduced = tuple(t % k for t in total)
     carry = [(t - r) // k for t, r in zip(total, reduced)]
-    t = Fraction(_frame_omega(space, x.n, y.n), k) - _frame_omega(space, reduced, carry)
+    t = Fraction(frame_omega(x.n, y.n), k) - frame_omega(reduced, carry)
     phase = x.phase * y.phase * UnitPhase.of(t)
     return HeisenbergElement(k, phase, reduced, x.frame)
 

@@ -312,8 +312,11 @@ def exact_backend_defect(inter) -> float:
     den negated (e^{i pi (n + den) / den} = -e^{i pi n / den})."""
     ex = inter.exact
     unit = np.array([cmath.exp(1j * math.pi * n / ex.den) for n in range(ex.den)])
-    sums = np.concatenate([unit, -unit])[ex.nums].sum(axis=-1) / math.sqrt(ex.amp2)
-    return float(np.abs(np.where(ex.live, sums, 0) - inter.matrix).max())
+    gap = np.concatenate([unit, -unit])[ex.nums].sum(axis=-1)
+    gap /= math.sqrt(ex.amp2)
+    np.copyto(gap, 0, where=~ex.live)
+    gap -= inter.matrix
+    return float(np.abs(gap).max())
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from torusquant.exact import (
     frac_inv,
     gauss_reciprocity_check,
     hnf,
+    hnf_rows,
     identity,
     int_inv,
+    invariant_factors,
     mat_mul,
     mat_vec,
     multixgcd,
@@ -216,6 +218,113 @@ class TestSignature:
         ut_s_u = mat_mul(mat_mul(list(map(list, zip(*u))), s), u)
         # rank can drop only by congruence with singular u, excluded above
         assert signature(ut_s_u) == sig
+
+
+# ---------------------------------------------------------------------------
+# Reference signature: the rational symmetric elimination signature ran before
+# it went fraction-free, with the same pivot order.
+
+
+def reference_signature(s):
+    n = len(s)
+    a = [[Fraction(x) for x in row] for row in s]
+    active = list(range(n))
+    n_plus = n_minus = n_zero = 0
+    while active:
+        piv = next((i for i in active if a[i][i] != 0), None)
+        if piv is not None:
+            p = a[piv][piv]
+            if p > 0:
+                n_plus += 1
+            else:
+                n_minus += 1
+            active.remove(piv)
+            for i in active:
+                f = a[i][piv] / p
+                if f:
+                    for j in active:
+                        a[i][j] -= f * a[piv][j]
+            continue
+        pair = next(((i, j) for i in active for j in active if j > i and a[i][j] != 0), None)
+        if pair is None:
+            n_zero += len(active)
+            break
+        i0, j0 = pair
+        b = a[i0][j0]
+        n_plus += 1
+        n_minus += 1
+        active.remove(i0)
+        active.remove(j0)
+        for i in active:
+            ci, cj = a[i][i0], a[i][j0]
+            if ci == 0 and cj == 0:
+                continue
+            for j in active:
+                a[i][j] -= (ci * a[j0][j] + cj * a[i0][j]) / b
+    return Signature(n_plus, n_minus, n_zero)
+
+
+def symmetric_rational(max_dim=9):
+    """Symmetric matrices of size 0 to max_dim with integer and rational
+    entries, many of them zero; about half get a zero diagonal, so that the
+    elimination has to take 2x2 pivots."""
+    entry = st.one_of(
+        st.just(0), st.integers(-4, 4), st.fractions(-3, 3, max_denominator=6)
+    )
+
+    def build(n, upper, hollow):
+        m = [[0] * n for _ in range(n)]
+        it = iter(upper)
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = 0 if hollow and i == j else next(it)
+        return m
+
+    return st.integers(0, max_dim).flatmap(
+        lambda n: st.builds(
+            build,
+            st.just(n),
+            st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2),
+            st.booleans(),
+        )
+    )
+
+
+class TestSignatureAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_rational())
+    def test_fraction_free_matches_rational_elimination(self, m):
+        assert signature(m) == reference_signature(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_rational(6), st.integers(1, 5))
+    def test_positive_scaling_keeps_inertia(self, m, c):
+        assert signature([[Fraction(x, c) for x in row] for row in m]) == signature(m)
+
+    def test_hollow_forms_take_2x2_pivots(self):
+        h = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+        assert signature(h) == reference_signature(h) == Signature(1, 2, 0)
+        half = [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
+        assert signature(half) == Signature(1, 1, 0)
+
+    def test_rational_asymmetry_rejected(self):
+        with pytest.raises(NotSymmetric):
+            signature([[0, Fraction(1, 2)], [Fraction(1, 3), 0]])
+
+
+class TestTransformFreeNormalForms:
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrix(5))
+    def test_hnf_rows_are_the_nonzero_rows_of_hnf(self, m):
+        h, _ = hnf(m)
+        assert hnf_rows(m) == tuple(tuple(r) for r in h if any(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrix(5))
+    def test_invariant_factors_are_the_snf_diagonal(self, m):
+        s, _, _ = snf(m)
+        diag = tuple(s[i][i] for i in range(min(len(s), len(s[0]))))
+        assert invariant_factors(m) == tuple(d for d in diag if d)
 
 
 class TestGaussSums:

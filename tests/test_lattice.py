@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusquant.errors import (
@@ -10,8 +12,18 @@ from torusquant.errors import (
     NotPrimitive,
     NotUnimodular,
     SpaceMismatch,
+    TorusQuantError,
 )
-from torusquant.exact import det, frac_inv, hnf_rows, identity, mat_mul, transpose
+from torusquant.exact import (
+    det,
+    frac_inv,
+    freeze,
+    hnf_rows,
+    identity,
+    mat_mul,
+    quad_form,
+    transpose,
+)
 from torusquant.lattice import (
     AdaptedBasis,
     Lagrangian,
@@ -20,7 +32,8 @@ from torusquant.lattice import (
     intersect,
     pair_adapted_bases,
 )
-from torusquant.verify import random_lagrangian, random_pair
+from torusquant.maslov import SpElement
+from torusquant.verify import random_lagrangian, random_pair, random_unimodular
 
 SP1 = SymplecticSpace.standard(1)
 SP2 = SymplecticSpace.standard(2)
@@ -52,6 +65,120 @@ class TestOmega:
             SymplecticSpace(1, ((0, 2), (-2, 0)))
         with pytest.raises(NotIsotropic):
             SymplecticSpace(1, ((1, 0), (0, 1)))
+
+
+class TestSparsePairing:
+    """omega sums the nonzero gram entries; the dense form x . gram . y^T is
+    the reference."""
+
+    @given(st.sampled_from((1, 2, 3)), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_omega_matches_dense_form(self, g, standard, data):
+        n = 2 * g
+        gram = SymplecticSpace.standard(g).gram
+        if not standard:
+            p = random_unimodular(random.Random(data.draw(st.integers(0, 2**32))), n)
+            gram = freeze(mat_mul(mat_mul(p, gram), transpose(p)))
+        space = SymplecticSpace(g, gram)
+        entry = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+        vec = st.lists(entry, min_size=n, max_size=n)
+        x, y = data.draw(vec), data.draw(vec)
+        assert space.omega(x, y) == quad_form(x, gram, y)
+        assert space.block([x], [y]) == ((quad_form(x, gram, y),),)
+
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 8), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_wrong_lengths_raise(self, g, a, b):
+        assume(a != 2 * g or b != 2 * g)
+        with pytest.raises(DimensionMismatch):
+            SymplecticSpace.standard(g).omega((1,) * a, (1,) * b)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_standard_is_one_validated_instance_per_g(self, g):
+        space = SymplecticSpace.standard(g)
+        assert SymplecticSpace.standard(g) is space
+        fresh = SymplecticSpace(g, space.gram)
+        assert fresh == space and hash(fresh) == hash(space)
+        assert len(space.terms) == 2 * g
+
+
+class TestLagrangianMake:
+    def test_integral_values_are_converted(self):
+        made = Lagrangian.make(SP1, [[np.int64(1), Fraction(2, 1)]])
+        assert made == Lagrangian(SP1, ((1, 2),))
+        assert all(type(x) is int for x in made.gens[0])
+
+    @pytest.mark.parametrize("row", [[Fraction(3, 2), 1], [2.7, 1], [1, "2"], [None, 1]])
+    def test_non_integral_values_raise(self, row):
+        with pytest.raises(NotPrimitive, match="integer lattice vectors"):
+            Lagrangian.make(SP1, [row])
+
+
+_SP_GAMMA = ((0, 1), (-1, 0))
+
+# (constructor, bad input, error code): the validations of the public lattice
+# constructors, pinned
+BAD_CONSTRUCTIONS = [
+    ("space: g < 1", lambda: SymplecticSpace(0, ()), "DimensionMismatch"),
+    ("space: not 2g x 2g", lambda: SymplecticSpace(1, ((0, 1),)), "DimensionMismatch"),
+    ("space: not skew", lambda: SymplecticSpace(1, ((1, 0), (0, 1))), "NotIsotropic"),
+    ("space: det != 1", lambda: SymplecticSpace(1, ((0, 2), (-2, 0))), "NotUnimodular"),
+    (
+        "space: not integer",
+        lambda: SymplecticSpace(1, ((0, Fraction(1)), (Fraction(-1), 0))),
+        "DimensionMismatch",
+    ),
+    ("lagrangian: wrong length", lambda: Lagrangian(SP1, ((1, 0, 0),)), "DimensionMismatch"),
+    (
+        "lagrangian: dependent",
+        lambda: Lagrangian(SP2, ((1, 0, 0, 0), (2, 0, 0, 0))),
+        "NotPrimitive",
+    ),
+    (
+        "lagrangian: not isotropic",
+        lambda: Lagrangian(SP2, ((1, 0, 0, 0), (0, 0, 1, 0))),
+        "NotIsotropic",
+    ),
+    ("lagrangian: more than g rows", lambda: Lagrangian(SP1, ((1, 0), (0, 1))), "NotIsotropic"),
+    ("lagrangian: not primitive", lambda: Lagrangian(SP1, ((2, 4),)), "NotPrimitive"),
+    ("lagrangian: not integer", lambda: Lagrangian(SP1, ((Fraction(3, 2), 1),)), "NotPrimitive"),
+    ("lagrangian: float", lambda: Lagrangian(SP1, ((2.7, 1),)), "NotPrimitive"),
+    ("basis: row count", lambda: AdaptedBasis(SP1, (), ((0, 1),)), "DimensionMismatch"),
+    (
+        "basis: W not isotropic",
+        lambda: AdaptedBasis(SP2, ((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 0, 0, 1), (0, 1, 0, 0))),
+        "NotIsotropic",
+    ),
+    (
+        "basis: Wperp not isotropic",
+        lambda: AdaptedBasis(SP2, ((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (1, 0, 0, 0))),
+        "NotIsotropic",
+    ),
+    ("basis: pairing not delta", lambda: AdaptedBasis(SP1, ((1, 0),), ((0, -1),)), "NotIsotropic"),
+    ("sp: not 2g x 2g", lambda: SpElement(SP1, ((1, 0, 0),)), "DimensionMismatch"),
+    (
+        "sp: not integer",
+        lambda: SpElement(SP1, ((Fraction(1, 2), 0), (0, 2))),
+        "NotUnimodular",
+    ),
+    ("sp: not symplectic", lambda: SpElement(SP1, ((1, 1), (1, 1))), "NotSymmetric"),
+    ("sp: scales the form", lambda: SpElement(SP1, ((2, 0), (0, 1))), "NotSymmetric"),
+    ("sp: reverses the form", lambda: SpElement(SP1, ((0, 1), (1, 0))), "NotSymmetric"),
+    (
+        "sp: off the nonstandard form",
+        lambda: SpElement(SymplecticSpace(1, _SP_GAMMA), ((1, 0), (0, -1))),
+        "NotSymmetric",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, code", [c[1:] for c in BAD_CONSTRUCTIONS], ids=[c[0] for c in BAD_CONSTRUCTIONS]
+)
+def test_constructor_error_codes(build, code):
+    with pytest.raises(TorusQuantError) as err:
+        build()
+    assert err.value.code == code
 
 
 class TestLagrangian:

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusquant.errors import BaseMismatch, NotTransverse, NotUnimodular, NotSymmetric
-from torusquant.exact import signature, zeros
+from torusquant.exact import freeze, mat_mul, signature, transpose, zeros
 from torusquant.lattice import Lagrangian, SymplecticSpace, adapted_basis
 from torusquant.maslov import (
     LagrangianLift,
@@ -183,6 +185,32 @@ class TestSpElement:
         basis = adapted_basis(L_E1)
         b = random_sp(rng, basis)
         assert (b * b.inv()).mat == SpElement.identity(SP1).mat
+
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 2**32), st.integers(-3, 3).filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_check_matches_dense_form_on_single_entry_changes(self, g, seed, delta):
+        """SpElement tests omega(col_a, col_b) = gram[a][b] for a < b only; the
+        dense mat^T . gram . mat = gram is the reference.  Some single-entry
+        changes are symplectic (a shear of the identity is), so each change
+        is checked against the reference rather than assumed rejected."""
+        space = SymplecticSpace.standard(g)
+        basis = adapted_basis(random_lagrangian(random.Random(seed), space))
+        mat = random_sp(random.Random(seed), basis, 3).mat
+        gram = [list(r) for r in space.gram]
+        rejected = 0
+        for i in range(2 * g):
+            for j in range(2 * g):
+                m = [list(r) for r in mat]
+                m[i][j] += delta
+                if mat_mul(mat_mul(transpose(m), gram), m) == gram:
+                    assert SpElement(space, freeze(m)).mat == freeze(m)
+                else:
+                    rejected += 1
+                    with pytest.raises(NotSymmetric):
+                        SpElement(space, freeze(m))
+        # m stays symplectic only if row i of gram . mat is a multiple of e_j,
+        # so at most one change per row i is accepted
+        assert rejected >= 2 * g * (2 * g - 1)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_random_sp_is_the_map_of_random_mp_word(self, g):
