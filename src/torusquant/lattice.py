@@ -17,6 +17,7 @@ from .errors import (
     NotPrimitive,
     NotUnimodular,
     SpaceMismatch,
+    TooLarge,
 )
 from .exact import (
     det,
@@ -30,6 +31,16 @@ from .exact import (
 )
 
 
+# Largest g a space may have: its gram is checked with an O(g^3) determinant,
+# and standard(64) plus the adapted basis of one Lagrangian take under 1 s.
+MAX_G = 64
+
+
+def _check_g(g: int) -> None:
+    if g > MAX_G:
+        raise TooLarge(f"g = {g} exceeds {MAX_G}")
+
+
 @dataclass(frozen=True)
 class SymplecticSpace:
     """(V, omega) of dimension 2g with the self-dual lattice Z^2g; terms
@@ -40,6 +51,7 @@ class SymplecticSpace:
     terms: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_g(self.g)
         n = 2 * self.g
         object.__setattr__(self, "gram", freeze(self.gram))
         if self.g < 1:
@@ -57,6 +69,7 @@ class SymplecticSpace:
     @lru_cache(maxsize=8, typed=True)
     def standard(g: int) -> "SymplecticSpace":
         """The standard form of rank 2g, one shared instance per g."""
+        _check_g(g)
         gram = [[0] * (2 * g) for _ in range(2 * g)]
         for i in range(g):
             gram[i][g + i] = 1

@@ -1,8 +1,13 @@
 """Randomized verification suites at desk scale (g <= 2, k <= 4).
 
-Every suite draws its instances from a seeded generator, checks one family of
-identities (unitarity, composition phases, oracle agreement, index axioms,
-group laws, counting), and reports cases / failures / worst error.  The
+Every suite checks one family of identities (unitarity, composition phases,
+oracle agreement, index axioms, group laws, counting) and reports cases /
+failures / worst error.  A suite is one draw-and-check, `_<name>(rng)`: it
+draws one instance from the generator and returns its error, (error, detail),
+or None to reject the draw.  One loop, `_run`, owns the Random(seed) and the
+report: it counts `cases` accepted draws, redraws rejected ones, then records
+the suite's fixed checks, which draw nothing (oracle's g = 1 menu,
+Heisenberg's irreducibility witness, the pinned g = 1 Mp matrices).  The
 command line front end serializes the reports; the acceptance tests pin the
 case counts and tolerances.
 """
@@ -309,10 +314,12 @@ def exact_backend_defect(inter) -> float:
     """Worst entrywise gap between the exact phase table and the float matrix,
     on a route of its own: exponents looked up in a phase list built with
     cmath, not PhaseTable.value(), whose entries from den on are the first
-    den negated (e^{i pi (n + den) / den} = -e^{i pi n / den})."""
+    den negated (e^{i pi (n + den) / den} = -e^{i pi n / den}).  A table of
+    one term per entry is gathered, not summed."""
     ex = inter.exact
     unit = np.array([cmath.exp(1j * math.pi * n / ex.den) for n in range(ex.den)])
-    gap = np.concatenate([unit, -unit])[ex.nums].sum(axis=-1)
+    unit = np.concatenate([unit, -unit])
+    gap = unit[ex.nums[..., 0]] if ex.nums.shape[-1] == 1 else unit[ex.nums].sum(axis=-1)
     gap /= math.sqrt(ex.amp2)
     np.copyto(gap, 0, where=~ex.live)
     gap -= inter.matrix
@@ -320,349 +327,293 @@ def exact_backend_defect(inter) -> float:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: one seeded draw-and-check per case, run by _run
+
+
+def _run(name, seed, tolerance, cases, case, fixed=()) -> SuiteReport:
+    """The report of `cases` counted draws case(rng) from Random(seed), then
+    of the fixed checks, which draw nothing.  A case returns its error,
+    (error, detail), or None for a rejected draw, which is not counted."""
+    rng = random.Random(seed)
+    rep = SuiteReport(name, tolerance=tolerance)
+    while rep.cases < cases:
+        out = case(rng)
+        if out is not None:
+            rep.record(*out) if isinstance(out, tuple) else rep.record(out)
+    for err in fixed:
+        rep.record(err)
+    return rep
+
+
+def _hilbert(k: int, lag: Lagrangian) -> HilbertSpace:
+    return HilbertSpace(k, Polarization.canonical(lag))
+
+
+def _gap(a, b) -> float:
+    """Entrywise max |a - b|."""
+    return float(np.abs(a - b).max())
+
+
+def _pairing_det(hs1: HilbertSpace, hs2: HilbertSpace) -> int:
+    """|det omega21| of the two frames."""
+    space = hs1.pol.space
+    return abs(det(space.block(hs2.pol.basis.w, hs1.pol.basis.w)))
+
+
+def _unitarity(rng):
+    space, k = _spaces_for(rng)
+    hs1, hs2 = (_hilbert(k, l) for l in random_pair(rng, space))
+    f, back = bks_matrix(hs1, hs2), bks_matrix(hs2, hs1)
+    return max(unitarity_defect(f.matrix), _gap(back.matrix @ f.matrix, np.eye(hs1.dim)))
+
+
+def _triple(rng):
+    space, k = _spaces_for(rng)
+    l1, _ = random_pair(rng, space)
+    l2, l3 = random_pair(rng, space)
+    h1, h2, h3 = (_hilbert(k, l) for l in (l1, l2, l3))
+    comp = bks_matrix(h3, h1).matrix @ bks_matrix(h2, h3).matrix @ bks_matrix(h1, h2).matrix
+    tau = triple_index(l1, l2, l3)
+    diag = np.diag(comp)
+    c = complex(diag.mean())
+    phase_err = abs(cmath.exp(1j * (cmath.phase(c) + math.pi * tau / 4)) - 1)
+    err = max(_gap(comp, np.diag(diag)), _gap(diag, c), phase_err, abs(abs(c) - 1))
+    expected = float((-math.pi * tau / 4 + math.pi) % (2 * math.pi) - math.pi)
+    return err, {"tau": tau, "arg": cmath.phase(c), "expected_arg": expected}
+
+
+def _corrected(rng):
+    space, k = _spaces_for(rng)
+    base = random_lagrangian(rng, space)
+    l1, _ = random_pair(rng, space)
+    l2, l3 = random_pair(rng, space)
+    a, b, c = (random_lift(rng, base, l) for l in (l1, l2, l3))
+    comp = (
+        corrected_intertwiner(c, a, k).matrix
+        @ corrected_intertwiner(b, c, k).matrix
+        @ corrected_intertwiner(a, b, k).matrix
+    )
+    return _gap(comp, np.eye(comp.shape[0]))
+
+
+def _oracle_defect(f, oracle) -> float:
+    return max(_gap(oracle, f.matrix), exact_backend_defect(f))
+
+
+def _oracle_menu():
+    """g = 1: every transverse pair from a small primitive menu, k in {2, 4}."""
+    space = SymplecticSpace.standard(1)
+    menu = dict.fromkeys(
+        Lagrangian.make(space, [[a, b]])
+        for a in range(-2, 3)
+        for b in range(-2, 3)
+        if math.gcd(a, b) == 1
+    )
+    for l1 in menu:
+        for l2 in menu:
+            if intersect(l1, l2).rank == 0:
+                for k in (2, 4):
+                    hs1, hs2 = _hilbert(k, l1), _hilbert(k, l2)
+                    yield _oracle_defect(bks_matrix(hs1, hs2), pairing_oracle_transverse(hs1, hs2))
+
+
+def _oracle(rng):
+    """g = 2: a random pair of either transversality class; transverse pairs
+    with |det omega21| > 6 are redrawn."""
+    k = rng.choice((2, 4))
+    l1, l2 = random_pair(rng, SymplecticSpace.standard(2))
+    if intersect(l1, l2).rank:
+        b1, b2 = pair_adapted_bases(l1, l2)
+        hs1, hs2 = HilbertSpace(k, Polarization(l1, b1)), HilbertSpace(k, Polarization(l2, b2))
+        return _oracle_defect(
+            bks_matrix_nontransverse(hs1, hs2), pairing_oracle_nontransverse(hs1, hs2)
+        )
+    hs1, hs2 = _hilbert(k, l1), _hilbert(k, l2)
+    if _pairing_det(hs1, hs2) > 6:
+        return None
+    return _oracle_defect(bks_matrix(hs1, hs2), pairing_oracle_transverse(hs1, hs2))
+
+
+def _gauss(rng):
+    """A random (Q, a, w) with g <= 3; singular Q are redrawn."""
+    g = rng.randrange(1, 4)
+    q = random_symmetric(rng, g, bound=5)
+    if det(q) == 0:
+        return None
+    a = 2 * rng.randrange(1, 5)
+    w = [Fraction(rng.randrange(-a, a + 1), a) for _ in range(g)]
+    lhs, rhs = gauss_reciprocity_check(q, a, w)
+    return abs(lhs - rhs)
+
+
+def _tau(rng):
+    space, _ = _spaces_for(rng)
+    basis = adapted_basis(random_lagrangian(rng, space))
+    l1, _ = random_pair(rng, space)
+    l2, l3 = random_pair(rng, space)
+    l4, _ = random_pair(rng, space)
+    t123 = triple_index(l1, l2, l3)
+    b = random_sp(rng, basis)
+    parity = (space.g + sum(intersect(x, y).rank for x, y in ((l1, l2), (l2, l3), (l3, l1)))) % 2
+    errs = [
+        # invariance under an integer symplectic map
+        abs(triple_index(*(b.apply_lagrangian(l) for l in (l1, l2, l3))) - t123),
+        # odd permutations flip the sign, even ones preserve it
+        abs(triple_index(l2, l1, l3) + t123),
+        abs(triple_index(l2, l3, l1) - t123),
+        # cocycle identity on the quadruple
+        abs(t123 - triple_index(l1, l2, l4) + triple_index(l1, l3, l4) - triple_index(l2, l3, l4)),
+        (t123 - parity) % 2,
+    ]
+    # the transverse route agrees when defined
+    if intersect(l1, l3).rank == 0:
+        errs.append(abs(triple_index_transverse(l1, l2, l3) - t123))
+    return max(errs)
+
+
+def _mu(rng):
+    space, _ = _spaces_for(rng)
+    q = rng.choice((1, 2, 4))
+    base = random_lagrangian(rng, space)
+    l1, _ = random_pair(rng, space)
+    l2, l3 = random_pair(rng, space)
+    a, b, c = (random_lift(rng, base, l, q) for l in (l1, l2, l3))
+    ab = maslov_index(a, b, q)
+    coc = ab - maslov_index(a, c, q) + maslov_index(b, c, q) - triple_index(l1, l2, l3)
+    antisym = ab + maslov_index(b, a, q)
+    return max(coc % (2 * q), antisym % (2 * q), (ab - space.g + intersect(l1, l2).rank) % 2)
+
+
+def _heisenberg_element(rng, k: int, pol: Polarization) -> HeisenbergElement:
+    n = tuple(rng.randrange(k) for _ in range(pol.space.dim))
+    return HeisenbergElement(k, UnitPhase.of(Fraction(rng.randrange(8), 4)), n, pol)
+
+
+def _heisenberg(rng):
+    space, k = _spaces_for(rng)
+    hs1, hs2 = (_hilbert(k, l) for l in random_pair(rng, space))
+    x, y = (_heisenberg_element(rng, k, hs1.pol) for _ in range(2))
+    ux = heisenberg_matrix(x, hs1).matrix
+    # multiplicativity of the action
+    uxy = heisenberg_matrix(heisenberg_mul(x, y), hs1).matrix
+    err = max(_gap(ux @ heisenberg_matrix(y, hs1).matrix, uxy), unitarity_defect(ux))
+    # the pairing intertwines the two actions
+    f = bks_matrix(hs1, hs2).matrix
+    moved = heisenberg_matrix(heisenberg_in_frame(x, hs2.pol), hs2).matrix
+    return max(err, _gap(f @ ux, moved @ f))
+
+
+def _irreducibility(k: int) -> float:
+    """g = 1 witness: only scalars commute with the action (0 when they do,
+    else the commutant's dimension)."""
+    pol = Polarization.canonical(Lagrangian.make(SymplecticSpace.standard(1), [[1, 0]]))
+    hs = HilbertSpace(k, pol)
+    eye = np.eye(hs.dim)
+    rows = []
+    for unit in ((1, 0), (0, 1)):
+        gmat = heisenberg_matrix(HeisenbergElement.of(k, unit, pol), hs).matrix
+        rows.append(np.kron(eye, gmat) - np.kron(gmat.T, eye))
+    svals = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    commutant_dim = int(np.sum(svals < 1e-9))
+    return 0.0 if commutant_dim == 1 else float(commutant_dim)
+
+
+def _mp(rng):
+    space, k = _spaces_for(rng)
+    lag = random_lagrangian(rng, space)
+    hs = _hilbert(k, lag)
+    basis = hs.pol.basis
+    # projective cocycle of the symplectic operators
+    b1 = random_sp(rng, basis, rng.randrange(1, 4))
+    b2 = random_sp(rng, basis, rng.randrange(1, 4))
+    b12 = b1 * b2
+    u1, u2, u12 = (sp_operator(b, hs).matrix for b in (b1, b2, b12))
+    tau = triple_index(lag, b1.apply_lagrangian(lag), b12.apply_lagrangian(lag))
+    err = max(_gap(u1 @ u2, cmath.exp(1j * math.pi * tau / 4) * u12), unitarity_defect(u1))
+    # multiplicativity of the metaplectic operators
+    x = random_mp_word(rng, basis, rng.randrange(1, 5))
+    y = random_mp_word(rng, basis, rng.randrange(1, 5))
+    ux, uy, uxy = (mp_operator(m, hs).matrix for m in (x, y, mp_mul(x, y)))
+    return max(err, _gap(ux @ uy, uxy))
+
+
+def _mp_pinned(k: int) -> float:
+    """Pinned g = 1 matrices of the metaplectic generators S~ = gamma epsilon
+    and T~ = beta([[1]]), and the modular relations they satisfy."""
+    pol = Polarization.canonical(Lagrangian.make(SymplecticSpace.standard(1), [[1, 0]]))
+    hs = HilbertSpace(k, pol)
+    eps = mp_generator(pol.basis, "epsilon")
+    us = mp_operator(mp_mul(mp_generator(pol.basis, "gamma"), eps), hs).matrix
+    ut = mp_operator(mp_generator(pol.basis, "beta", b=[[1]]), hs).matrix
+    pinned_s = np.array(
+        [
+            [cmath.exp(5j * math.pi / 4) * cmath.exp(2j * math.pi * q * q1 / k) for q1 in range(k)]
+            for q in range(k)
+        ]
+    ) / math.sqrt(k)
+    pinned_t = np.diag([cmath.exp(1j * math.pi * q * q / k) for q in range(k)])
+    eye = np.eye(k)
+    return max(
+        _gap(us, pinned_s),
+        _gap(ut, pinned_t),
+        _gap(np.linalg.matrix_power(us @ ut, 3), eye),
+        _gap(np.linalg.matrix_power(us, 4), -eye),
+        _gap(mp_operator(eps, hs).matrix, -eye),
+    )
+
+
+def _counting(rng):
+    space, k = _spaces_for(rng)
+    l1, l2 = random_pair(rng, space)
+    hs1, hs2 = _hilbert(k, l1), _hilbert(k, l2)
+    err = abs(len(hs1.labels) - k**space.g)
+    if intersect(l1, l2).rank == 0:
+        d = _pairing_det(hs1, hs2)
+        q1, q2 = (tuple(rng.randrange(k) for _ in range(space.g)) for _ in range(2))
+        err = max(err, abs(len(intersection_points(hs1, hs2, q1, q2)) - d))
+        if space.g == 1 and k * d <= 8:
+            err = max(err, abs(brute_force_point_count(hs1, hs2, q1, q2) - d))
+    return err
 
 
 def suite_unitarity(seed: int, tolerance: float = DEFAULT_TOLERANCE, cases: int = UNITARITY_CASES) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("unitarity", tolerance=tolerance)
-    for _ in range(cases):
-        space, k = _spaces_for(rng)
-        l1, l2 = random_pair(rng, space)
-        hs1 = HilbertSpace(k, Polarization.canonical(l1))
-        hs2 = HilbertSpace(k, Polarization.canonical(l2))
-        f = bks_matrix(hs1, hs2)
-        back = bks_matrix(hs2, hs1)
-        err = unitarity_defect(f.matrix)
-        err = max(err, float(np.abs(back.matrix @ f.matrix - np.eye(hs1.dim)).max()))
-        rep.record(err)
-    return rep
+    return _run("unitarity", seed, tolerance, cases, _unitarity)
 
 
 def suite_triple(seed: int, tolerance: float = DEFAULT_TOLERANCE, cases: int = TRIPLE_CASES) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("triple", tolerance=tolerance)
-    for _ in range(cases):
-        space, k = _spaces_for(rng)
-        l1, _ = random_pair(rng, space)
-        l2, l3 = random_pair(rng, space)
-        hs = [HilbertSpace(k, Polarization.canonical(l)) for l in (l1, l2, l3)]
-        comp = (
-            bks_matrix(hs[2], hs[0]).matrix
-            @ bks_matrix(hs[1], hs[2]).matrix
-            @ bks_matrix(hs[0], hs[1]).matrix
-        )
-        tau = triple_index(l1, l2, l3)
-        diag = np.diag(comp)
-        off = float(np.abs(comp - np.diag(diag)).max())
-        c = complex(diag.mean())
-        spread = float(np.abs(diag - c).max())
-        phase_err = abs(cmath.exp(1j * (cmath.phase(c) + math.pi * tau / 4)) - 1)
-        err = max(off, spread, phase_err, abs(abs(c) - 1))
-        rep.record(
-            err,
-            detail={
-                "tau": tau,
-                "arg": cmath.phase(c),
-                "expected_arg": float((-math.pi * tau / 4 + math.pi) % (2 * math.pi) - math.pi),
-            },
-        )
-    return rep
+    return _run("triple", seed, tolerance, cases, _triple)
 
 
 def suite_corrected(seed: int, tolerance: float = DEFAULT_TOLERANCE, cases: int = CORRECTED_CASES) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("corrected", tolerance=tolerance)
-    for _ in range(cases):
-        space, k = _spaces_for(rng)
-        base = random_lagrangian(rng, space)
-        l1, _ = random_pair(rng, space)
-        l2, l3 = random_pair(rng, space)
-        lifts = [random_lift(rng, base, l) for l in (l1, l2, l3)]
-        comp = (
-            corrected_intertwiner(lifts[2], lifts[0], k).matrix
-            @ corrected_intertwiner(lifts[1], lifts[2], k).matrix
-            @ corrected_intertwiner(lifts[0], lifts[1], k).matrix
-        )
-        rep.record(float(np.abs(comp - np.eye(comp.shape[0])).max()))
-    return rep
+    return _run("corrected", seed, tolerance, cases, _corrected)
 
 
 def suite_oracle(seed: int, tolerance: float = ORACLE_TOLERANCE, cases: int = 60) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("oracle", tolerance=tolerance)
-    # g = 1: all transverse pairs from a small primitive menu, k in {2, 4}
-    space1 = SymplecticSpace.standard(1)
-    menu = []
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            if (a, b) != (0, 0) and math.gcd(a, b) == 1:
-                lag = Lagrangian.make(space1, [[a, b]])
-                if lag not in menu:
-                    menu.append(lag)
-    for l1 in menu:
-        for l2 in menu:
-            if intersect(l1, l2).rank:
-                continue
-            for k in (2, 4):
-                hs1 = HilbertSpace(k, Polarization.canonical(l1))
-                hs2 = HilbertSpace(k, Polarization.canonical(l2))
-                f = bks_matrix(hs1, hs2)
-                err = float(np.abs(pairing_oracle_transverse(hs1, hs2) - f.matrix).max())
-                rep.record(max(err, exact_backend_defect(f)))
-    # g = 2: random pairs, both transversality classes
-    space2 = SymplecticSpace.standard(2)
-    done = 0
-    while done < cases:
-        k = rng.choice((2, 4))
-        l1, l2 = random_pair(rng, space2)
-        meet = intersect(l1, l2)
-        if meet.rank == 0:
-            hs1 = HilbertSpace(k, Polarization.canonical(l1))
-            hs2 = HilbertSpace(k, Polarization.canonical(l2))
-            if abs(det(space2.block(hs2.pol.basis.w, hs1.pol.basis.w))) > 6:
-                continue
-            f = bks_matrix(hs1, hs2)
-            oracle = pairing_oracle_transverse(hs1, hs2)
-        else:
-            b1, b2 = pair_adapted_bases(l1, l2)
-            hs1 = HilbertSpace(k, Polarization(l1, b1))
-            hs2 = HilbertSpace(k, Polarization(l2, b2))
-            f = bks_matrix_nontransverse(hs1, hs2)
-            oracle = pairing_oracle_nontransverse(hs1, hs2)
-        err = float(np.abs(oracle - f.matrix).max())
-        rep.record(max(err, exact_backend_defect(f)))
-        done += 1
-    return rep
+    return _run("oracle", seed, tolerance, cases, _oracle, fixed=_oracle_menu())
 
 
 def suite_gauss(seed: int, tolerance: float = DEFAULT_TOLERANCE, cases: int = GAUSS_CASES) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("gauss", tolerance=tolerance)
-    done = 0
-    while done < cases:
-        g = rng.randrange(1, 4)
-        q = random_symmetric(rng, g, bound=5)
-        if det(q) == 0:
-            continue
-        a = 2 * rng.randrange(1, 5)
-        w = [Fraction(rng.randrange(-a, a + 1), a) for _ in range(g)]
-        lhs, rhs = gauss_reciprocity_check(q, a, w)
-        rep.record(abs(lhs - rhs))
-        done += 1
-    return rep
+    return _run("gauss", seed, tolerance, cases, _gauss)
 
 
 def suite_tau(seed: int, tolerance: float = 0.0, cases: int = TAU_CASES) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("tau", tolerance=tolerance)
-    for _ in range(cases):
-        space, _ = _spaces_for(rng)
-        g = space.g
-        basis = adapted_basis(random_lagrangian(rng, space))
-        l1, _ = random_pair(rng, space)
-        l2, l3 = random_pair(rng, space)
-        l4, _ = random_pair(rng, space)
-        t123 = triple_index(l1, l2, l3)
-        err = 0
-        # invariance under an integer symplectic map
-        b = random_sp(rng, basis)
-        err = max(
-            err,
-            abs(
-                triple_index(
-                    b.apply_lagrangian(l1),
-                    b.apply_lagrangian(l2),
-                    b.apply_lagrangian(l3),
-                )
-                - t123
-            ),
-        )
-        # odd permutations flip the sign, even ones preserve it
-        err = max(err, abs(triple_index(l2, l1, l3) + t123))
-        err = max(err, abs(triple_index(l2, l3, l1) - t123))
-        # cocycle identity on the quadruple
-        coc = (
-            t123
-            - triple_index(l1, l2, l4)
-            + triple_index(l1, l3, l4)
-            - triple_index(l2, l3, l4)
-        )
-        err = max(err, abs(coc))
-        # parity
-        par = (
-            g
-            + intersect(l1, l2).rank
-            + intersect(l2, l3).rank
-            + intersect(l3, l1).rank
-        ) % 2
-        err = max(err, (t123 - par) % 2)
-        # transverse route agrees when defined
-        if intersect(l1, l3).rank == 0:
-            err = max(err, abs(triple_index_transverse(l1, l2, l3) - t123))
-        rep.record(err)
-    return rep
+    return _run("tau", seed, tolerance, cases, _tau)
 
 
 def suite_mu(seed: int, tolerance: float = 0.0, cases: int = MU_CASES) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("mu", tolerance=tolerance)
-    for _ in range(cases):
-        space, _ = _spaces_for(rng)
-        g = space.g
-        q = rng.choice((1, 2, 4))
-        base = random_lagrangian(rng, space)
-        l1, _ = random_pair(rng, space)
-        l2, l3 = random_pair(rng, space)
-        a = random_lift(rng, base, l1, q)
-        b = random_lift(rng, base, l2, q)
-        c = random_lift(rng, base, l3, q)
-        err = 0
-        coc = (
-            maslov_index(a, b, q)
-            - maslov_index(a, c, q)
-            + maslov_index(b, c, q)
-            - triple_index(l1, l2, l3)
-        ) % (2 * q)
-        err = max(err, coc)
-        err = max(err, (maslov_index(a, b, q) + maslov_index(b, a, q)) % (2 * q))
-        par = (maslov_index(a, b, q) - (g - intersect(l1, l2).rank)) % 2
-        err = max(err, par)
-        rep.record(err)
-    return rep
+    return _run("mu", seed, tolerance, cases, _mu)
 
 
 def suite_heisenberg(seed: int, tolerance: float = DEFAULT_TOLERANCE, cases: int = 60) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("heisenberg", tolerance=tolerance)
-
-    def random_element(k, pol):
-        n = tuple(rng.randrange(k) for _ in range(pol.space.dim))
-        phase = UnitPhase.of(Fraction(rng.randrange(8), 4))
-        return HeisenbergElement(k, phase, n, pol)
-
-    for _ in range(cases):
-        space, k = _spaces_for(rng)
-        l1, l2 = random_pair(rng, space)
-        p1 = Polarization.canonical(l1)
-        p2 = Polarization.canonical(l2)
-        hs1 = HilbertSpace(k, p1)
-        hs2 = HilbertSpace(k, p2)
-        x, y = random_element(k, p1), random_element(k, p1)
-        # multiplicativity of the action
-        lhs = heisenberg_matrix(x, hs1).matrix @ heisenberg_matrix(y, hs1).matrix
-        rhs = heisenberg_matrix(heisenberg_mul(x, y), hs1).matrix
-        err = float(np.abs(lhs - rhs).max())
-        err = max(err, unitarity_defect(heisenberg_matrix(x, hs1).matrix))
-        # the pairing intertwines the two actions
-        f = bks_matrix(hs1, hs2)
-        moved = heisenberg_in_frame(x, p2)
-        lhs = f.matrix @ heisenberg_matrix(x, hs1).matrix
-        rhs = heisenberg_matrix(moved, hs2).matrix @ f.matrix
-        err = max(err, float(np.abs(lhs - rhs).max()))
-        rep.record(err)
-
-    # irreducibility witness for g = 1: only scalars commute with the action
-    for k in (2, 4):
-        space = SymplecticSpace.standard(1)
-        pol = Polarization.canonical(Lagrangian.make(space, [[1, 0]]))
-        hs = HilbertSpace(k, pol)
-        gens = []
-        for unit in ((1, 0), (0, 1)):
-            gens.append(heisenberg_matrix(HeisenbergElement.of(k, unit, pol), hs).matrix)
-        dim = hs.dim
-        rows = []
-        for gmat in gens:
-            op = np.kron(np.eye(dim), gmat) - np.kron(gmat.T, np.eye(dim))
-            rows.append(op)
-        stacked = np.vstack(rows)
-        svals = np.linalg.svd(stacked, compute_uv=False)
-        commutant_dim = int(np.sum(svals < 1e-9))
-        rep.record(0.0 if commutant_dim == 1 else float(commutant_dim))
-    return rep
+    return _run("heisenberg", seed, tolerance, cases, _heisenberg, fixed=map(_irreducibility, (2, 4)))
 
 
 def suite_mp(seed: int, tolerance: float = DEFAULT_TOLERANCE, cases: int = 40) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("mp", tolerance=tolerance)
-    for _ in range(cases):
-        space, k = _spaces_for(rng)
-        lag = random_lagrangian(rng, space)
-        pol = Polarization.canonical(lag)
-        hs = HilbertSpace(k, pol)
-        basis = pol.basis
-        # projective cocycle of the symplectic operators
-        b1 = random_sp(rng, basis, rng.randrange(1, 4))
-        b2 = random_sp(rng, basis, rng.randrange(1, 4))
-        u1 = sp_operator(b1, hs).matrix
-        u2 = sp_operator(b2, hs).matrix
-        u12 = sp_operator(b1 * b2, hs).matrix
-        tau = triple_index(
-            lag,
-            b1.apply_lagrangian(lag),
-            (b1 * b2).apply_lagrangian(lag),
-        )
-        expected = cmath.exp(1j * math.pi * tau / 4)
-        err = float(np.abs(u1 @ u2 - expected * u12).max())
-        err = max(err, unitarity_defect(u1))
-        # multiplicativity of the metaplectic operators
-        x = random_mp_word(rng, basis, rng.randrange(1, 5))
-        y = random_mp_word(rng, basis, rng.randrange(1, 5))
-        ux = mp_operator(x, hs).matrix
-        uy = mp_operator(y, hs).matrix
-        uxy = mp_operator(mp_mul(x, y), hs).matrix
-        err = max(err, float(np.abs(ux @ uy - uxy).max()))
-        rep.record(err)
-
-    # pinned g = 1 matrices of the metaplectic generators
-    space = SymplecticSpace.standard(1)
-    pol = Polarization.canonical(Lagrangian.make(space, [[1, 0]]))
-    for k in (2, 4):
-        hs = HilbertSpace(k, pol)
-        gamma = mp_generator(pol.basis, "gamma")
-        eps = mp_generator(pol.basis, "epsilon")
-        s_tilde = mp_mul(gamma, eps)
-        t_tilde = mp_generator(pol.basis, "beta", b=[[1]])
-        us = mp_operator(s_tilde, hs).matrix
-        ut = mp_operator(t_tilde, hs).matrix
-        pinned_s = np.array(
-            [
-                [
-                    cmath.exp(5j * math.pi / 4) * cmath.exp(2j * math.pi * q * q1 / k)
-                    for q1 in range(k)
-                ]
-                for q in range(k)
-            ]
-        ) / math.sqrt(k)
-        pinned_t = np.diag([cmath.exp(1j * math.pi * q * q / k) for q in range(k)])
-        err = float(np.abs(us - pinned_s).max())
-        err = max(err, float(np.abs(ut - pinned_t).max()))
-        err = max(err, float(np.abs(np.linalg.matrix_power(us @ ut, 3) - np.eye(k)).max()))
-        err = max(err, float(np.abs(np.linalg.matrix_power(us, 4) + np.eye(k)).max()))
-        err = max(err, float(np.abs(mp_operator(eps, hs).matrix + np.eye(k)).max()))
-        rep.record(err)
-    return rep
+    return _run("mp", seed, tolerance, cases, _mp, fixed=map(_mp_pinned, (2, 4)))
 
 
 def suite_counting(seed: int, tolerance: float = 0.0, cases: int = 60) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("counting", tolerance=tolerance)
-    for _ in range(cases):
-        space, k = _spaces_for(rng)
-        l1, l2 = random_pair(rng, space)
-        hs1 = HilbertSpace(k, Polarization.canonical(l1))
-        hs2 = HilbertSpace(k, Polarization.canonical(l2))
-        err = abs(len(hs1.labels) - k**space.g)
-        if intersect(l1, l2).rank == 0:
-            d = abs(det(space.block(hs2.pol.basis.w, hs1.pol.basis.w)))
-            q1 = tuple(rng.randrange(k) for _ in range(space.g))
-            q2 = tuple(rng.randrange(k) for _ in range(space.g))
-            pts = intersection_points(hs1, hs2, q1, q2)
-            err = max(err, abs(len(pts) - d))
-            if space.g == 1 and k * d <= 8:
-                err = max(err, abs(brute_force_point_count(hs1, hs2, q1, q2) - d))
-        rep.record(err)
-    return rep
+    return _run("counting", seed, tolerance, cases, _counting)
 
 
 SUITES = {

@@ -38,6 +38,12 @@ class TestBasisCommand:
         assert code == 2
         assert json.loads(err)["error"] == "NotPrimitive"
 
+    def test_oversized_g_exits_2_before_parsing(self, capsys):
+        # refused before the space is built: no gram, no determinant
+        code, _, err = run_cli(capsys, "basis", "--g", "400", "--lagrangian", "1 0")
+        assert code == 2
+        assert json.loads(err)["error"] == "TooLarge"
+
 
 class TestBksCommand:
     def test_fourier_pair(self, capsys):

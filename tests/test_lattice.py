@@ -25,6 +25,7 @@ from torusquant.exact import (
     transpose,
 )
 from torusquant.lattice import (
+    MAX_G,
     AdaptedBasis,
     Lagrangian,
     SymplecticSpace,
@@ -123,6 +124,7 @@ BAD_CONSTRUCTIONS = [
     ("space: not 2g x 2g", lambda: SymplecticSpace(1, ((0, 1),)), "DimensionMismatch"),
     ("space: not skew", lambda: SymplecticSpace(1, ((1, 0), (0, 1))), "NotIsotropic"),
     ("space: det != 1", lambda: SymplecticSpace(1, ((0, 2), (-2, 0))), "NotUnimodular"),
+    ("space: g above MAX_G", lambda: SymplecticSpace(MAX_G + 1, ()), "TooLarge"),
     (
         "space: not integer",
         lambda: SymplecticSpace(1, ((0, Fraction(1)), (Fraction(-1), 0))),
