@@ -9,7 +9,7 @@ the pairing is omega(x, y) = x . gram . y^T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -188,6 +188,11 @@ class AdaptedBasis:
         """
         om = self.space.omega
         return tuple(om(x, v) for v in self.wperp) + tuple(om(u, x) for u in self.w)
+
+    @cached_property
+    def stack_inv(self) -> tuple[tuple[int, ...], ...]:
+        """The inverse of stack: row j is the frame coordinate vector of e_j."""
+        return tuple(self.coords(e) for e in identity(self.space.dim))
 
     def span(self) -> Lagrangian:
         """The Lagrangian spanned by the W rows."""

@@ -239,9 +239,7 @@ def mp_inv(x: MpElement) -> MpElement:
 def _frame_to_ambient(basis: AdaptedBasis, block: list[list[int]]) -> list[list[int]]:
     """Column-convention ambient matrix of the map whose matrix in the frame
     (W_1..W_g, Wperp_1..Wperp_g) is the given block matrix."""
-    # row j of the inverse stack is the frame coordinate vector of e_j
-    inv = [basis.coords(e) for e in identity(basis.space.dim)]
-    return mat_mul(mat_mul(transpose(basis.stack), block), transpose(inv))
+    return mat_mul(mat_mul(transpose(basis.stack), block), transpose(basis.stack_inv))
 
 
 def mp_generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> MpElement:

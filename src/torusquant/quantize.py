@@ -181,8 +181,13 @@ class PhaseTable:
         # e^{i pi (t + 1)} = -e^{i pi t}, the fold PhaseSum makes, so that
         # antipodal terms cancel exactly
         unit = np.concatenate([unit, -unit])
-        sums = unit[self.nums].sum(axis=-1) / math.sqrt(self.amp2)
-        return np.where(self.live, sums, 0)
+        if self.nums.shape[-1] == 1:
+            out = unit.take(self.nums[..., 0])
+        else:
+            out = unit[self.nums].sum(axis=-1)
+        out /= math.sqrt(self.amp2)
+        np.copyto(out, 0, where=~self.live)
+        return out
 
     def entry(self, r: int, c: int) -> PhaseSum:
         if not self.live[r, c]:
@@ -212,8 +217,13 @@ class PhaseTable:
 
     def scaled(self, t) -> "PhaseTable":
         """Every entry multiplied by e^{i pi t}."""
-        rows, cols = self.live.shape
-        return self.times([t] * rows, [0] * cols)
+        t = Fraction(t)
+        den = math.lcm(self.den, t.denominator)
+        _check_budget(den)
+        nums = self.nums * (den // self.den)
+        nums += t.numerator * (den // t.denominator) % (2 * den)
+        nums %= 2 * den
+        return PhaseTable(self.amp2, den, nums, self.live)
 
     def between(self, out: "Monomial", back: "Monomial") -> "PhaseTable":
         """The table of the product out . self . back with two monomials."""
@@ -244,8 +254,9 @@ class Intertwiner:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    n = matrix.shape[0]
-    return float(np.abs(matrix @ matrix.conj().T - np.eye(n)).max())
+    defect = matrix @ matrix.conj().T
+    defect.flat[:: defect.shape[0] + 1] -= 1
+    return float(np.abs(defect).max())
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +351,8 @@ def _closed_form(b1: AdaptedBasis, b2: AdaptedBasis, k: int, h: int) -> PhaseTab
     n1 = _quad(head, _mod(mat_mul(adj, p), m), m)
     n3 = _quad(w, _mod(mat_mul(s, adj), m), m)
     adj_w = w @ _mod(adj, den).T % den
-    nums = np.einsum("ah,bjh->baj", head, adj_w)
-    nums *= -2
+    # C-contiguous, so that value() sums each entry's terms in one order
+    nums = np.matmul(-2 * head, adj_w.transpose(0, 2, 1))
     nums += n1[None, :, None]
     nums -= n3[:, None, :]
     nums %= m

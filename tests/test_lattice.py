@@ -389,6 +389,16 @@ class TestLatticeProperties:
             s = mat_mul(a_inv, transpose([c[:g] for c in perp_coords]))
             assert s == transpose(s)
 
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, 2**32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_inv_is_the_frame_coordinates_of_the_unit_vectors(self, g, seed, data):
+        _, l1, l2 = _pair_sharing(g, seed, data)
+        for b in (adapted_basis(l1), *pair_adapted_bases(l1, l2)):
+            want = tuple(b.coords(e) for e in identity(2 * g))
+            assert b.stack_inv == want
+            assert mat_mul(b.stack_inv, b.stack) == identity(2 * g)
+            assert b.stack_inv is b.stack_inv
+
 
 def _pair_sharing(g, seed, data):
     """Two full Lagrangians of the standard space that share a drawn number

@@ -704,7 +704,11 @@ class TestLabelKernel:
         else:
             b1, b2 = pair_adapted_bases(l1, l2)
         assert g - intersect(l1, l2).rank == h
-        _assert_same_table(_closed_form(b1, b2, k, h), reference_closed_form(b1, b2, k, h))
+        got, want = _closed_form(b1, b2, k, h), reference_closed_form(b1, b2, k, h)
+        _assert_same_table(got, want)
+        # value() sums each entry's terms in memory order
+        assert got.nums.flags.c_contiguous
+        assert _same_bits(got.value(), reference_value(want))
 
     def test_both_signs_of_det(self):
         # at g = 1 swapping the frames flips the sign of det R
@@ -770,6 +774,52 @@ class TestLabelKernel:
         f = bks_matrix(h1, h2)
         assert time.perf_counter() - start < 1.0
         assert f.exact.nums.shape == (2, 2, 100001)
+
+
+def reference_value(table):
+    """The float matrix as PhaseTable.value() built it before the one-term
+    gather and the in-place scale and mask."""
+    unit = np.exp(1j * np.pi * (np.arange(table.den) / table.den))
+    unit = np.concatenate([unit, -unit])
+    sums = unit[table.nums].sum(axis=-1) / math.sqrt(table.amp2)
+    return np.where(table.live, sums, 0)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype == np.complex128 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def _tables(draw):
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    den = draw(st.integers(1, 2**12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    nums = rng.integers(0, 2 * den, size=(rows, cols, draw(st.sampled_from((1, 2, 9, 17)))))
+    live = rng.random((rows, cols)) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+    return PhaseTable(draw(st.integers(1, 10**6)), den, nums, live)
+
+
+class TestFloatAssembly:
+    @given(_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_value_is_the_reference_bit_for_bit(self, table):
+        assert _same_bits(table.value(), reference_value(table))
+
+    @given(_tables(), st.fractions(-4, 4, max_denominator=64))
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_is_a_constant_row_shift(self, table, t):
+        rows, cols = table.live.shape
+        _assert_same_table(table.scaled(t), table.times([t] * rows, [0] * cols))
+
+    def test_unitarity_defect_is_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        matrices = [bks_matrix(hilbert(L_E1, 4), hilbert(L_SLANT, 4)).matrix]
+        for n in (1, 2, 5, 64, 256):
+            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            matrices += [np.linalg.qr(z)[0], z]
+        for m in matrices:
+            want = float(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max())
+            assert unitarity_defect(m) == want
 
 
 class TestOneFloatMatrixPerCall:
