@@ -4,7 +4,8 @@ Matrices are plain lists (or tuples) of rows; vectors are sequences.  Integer
 routines stay in ZZ, rational ones use fractions.Fraction, and nothing here
 touches floating point except the explicit complex evaluation helpers on
 UnitPhase / PhaseSum and the Gauss sum check, which returns both sides of the
-reciprocity formula as complex numbers for external comparison.
+reciprocity formula as complex numbers for external comparison (its phase
+exponents are integers over one denominator until the last division).
 """
 
 from __future__ import annotations
@@ -72,23 +73,12 @@ def vec_mat(v: Vector, m: Matrix) -> tuple:
     return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
-def dot(u: Vector, v: Vector):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector length mismatch")
-    return sum(x * y for x, y in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> tuple:
     return tuple(x - y for x, y in zip(u, v))
 
 
 def freeze(m: Matrix) -> tuple[tuple, ...]:
     return tuple(tuple(row) for row in m)
-
-
-def quad_form(q: Vector, m: Matrix, p: Vector):
-    """q^T . m . p"""
-    return dot(q, mat_vec(m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -602,15 +592,11 @@ def gauss_reciprocity_check(
     g, c = shape(q)
     if g != c:
         raise DimensionMismatch("Q must be square")
-    for i in range(g):
-        for j in range(g):
-            if q[i][j] != q[j][i]:
-                raise NotSymmetric("Q must be symmetric")
+    if any(q[i][j] != q[j][i] for i in range(g) for j in range(i)):
+        raise NotSymmetric("Q must be symmetric")
     if a <= 0 or a % 2:
         raise OddModulus("modulus a must be a positive even integer")
-    if w is None:
-        w = [Fraction(0)] * g
-    w = [Fraction(x) for x in w]
+    w = [Fraction(x) for x in ([0] * g if w is None else w)]
     if len(w) != g:
         raise DimensionMismatch("w has wrong length")
     if any((a * x).denominator != 1 for x in w):
@@ -619,21 +605,23 @@ def gauss_reciprocity_check(
     if d == 0:
         raise SingularMatrix("Q must be nonsingular")
 
+    # Exponents as integers over one denominator, reduced mod twice it (int /
+    # int is correctly rounded): t_v = (v^T Q v + 2 (a w).v) / a and, with
+    # M = a m + a w, t_m = -sgn(det Q) M^T adj(Q) M / (a |det Q|).
+    aw = [int(a * x) for x in w]
     lhs = 0j
     for vec in product(range(a), repeat=g):
-        t = Fraction(quad_form(vec, q, vec), a) + 2 * dot(w, vec)
-        lhs += cmath.exp(1j * math.pi * float(t % 2))
+        n = sum(x * (y + 2 * z) for x, y, z in zip(vec, mat_vec(q, vec), aw))
+        lhs += cmath.exp(1j * math.pi * ((n % (2 * a)) / a))
 
-    qinv = frac_inv(q)
+    adj = adjugate(q)
+    den = a * abs(d)
+    sign = -1 if d > 0 else 1
     tail = 0j
     for m in coset_reps(q):
-        mw = [Fraction(x) + y for x, y in zip(m, w)]
-        t = -a * quad_form(mw, qinv, mw)
-        tail += cmath.exp(1j * math.pi * float(t % 2))
-    sig = signature(q)
-    rhs = (
-        math.sqrt(abs(a**g / float(d)))
-        * cmath.exp(1j * math.pi * sig.index / 4)
-        * tail
-    )
+        mw = [a * x + y for x, y in zip(m, aw)]
+        n = sign * sum(map(mul, mw, mat_vec(adj, mw)))
+        tail += cmath.exp(1j * math.pi * ((n % (2 * den)) / den))
+    sig = signature(q).index
+    rhs = math.sqrt(abs(a**g / float(d))) * cmath.exp(1j * math.pi * sig / 4) * tail
     return lhs, rhs

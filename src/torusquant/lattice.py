@@ -41,6 +41,15 @@ def _check_g(g: int) -> None:
         raise TooLarge(f"g = {g} exceeds {MAX_G}")
 
 
+def _trusted(cls, **values):
+    """cls(**values) for a frozen dataclass, unvalidated: only for images
+    valid by construction, with a Lagrangian's gens already in HNF."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class SymplecticSpace:
     """(V, omega) of dimension 2g with the self-dual lattice Z^2g; terms
@@ -195,8 +204,8 @@ class AdaptedBasis:
         return tuple(self.coords(e) for e in identity(self.space.dim))
 
     def span(self) -> Lagrangian:
-        """The Lagrangian spanned by the W rows."""
-        return Lagrangian.make(self.space, self.w)
+        """The Lagrangian spanned by the W rows (a frame's W rows are one)."""
+        return _trusted(Lagrangian, space=self.space, gens=hnf_rows(self.w))
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +266,15 @@ def adapted_basis(lag: Lagrangian) -> AdaptedBasis:
 
 
 def intersect(l1: Lagrangian, l2: Lagrangian) -> Lagrangian:
-    """The isotropic sublattice L1 meet L2 (primitive by construction)."""
+    """The isotropic sublattice L1 meet L2, unchecked: the left kernel of the
+    stacked generators maps onto a basis, primitive as a meet of primitives."""
     if l1.space != l2.space:
         raise SpaceMismatch("Lagrangians live in different spaces")
     if l1.rank == 0 or l2.rank == 0:
-        return Lagrangian.make(l1.space, [])
+        return _trusted(Lagrangian, space=l1.space, gens=())
     stacked = list(l1.gens) + list(l2.gens)
     vecs = [vec_mat(krow[: l1.rank], l1.gens) for krow in left_kernel(stacked)]
-    return Lagrangian.make(l1.space, vecs)
+    return _trusted(Lagrangian, space=l1.space, gens=hnf_rows(vecs))
 
 
 def pair_adapted_bases(l1: Lagrangian, l2: Lagrangian) -> tuple[AdaptedBasis, AdaptedBasis]:
@@ -298,6 +308,6 @@ def pair_adapted_bases(l1: Lagrangian, l2: Lagrangian) -> tuple[AdaptedBasis, Ad
 
     def assemble(own):
         w, wperp = zip(*(own + shared))
-        return AdaptedBasis(space, w, wperp)
+        return _trusted(AdaptedBasis, space=space, w=w, wperp=wperp)
 
     return assemble(own_pairs(l1)), assemble(own_pairs(l2))

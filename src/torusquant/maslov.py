@@ -18,6 +18,7 @@ from .errors import (
 from .exact import (
     det,
     freeze,
+    hnf_rows,
     identity,
     int_inv,
     mat_mul,
@@ -28,7 +29,7 @@ from .exact import (
     vec_mat,
     zeros,
 )
-from .lattice import AdaptedBasis, Lagrangian, SymplecticSpace, intersect
+from .lattice import AdaptedBasis, Lagrangian, SymplecticSpace, _trusted, intersect
 
 
 def triple_index(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
@@ -154,22 +155,22 @@ class SpElement:
     def apply(self, x) -> tuple:
         return mat_vec(self.mat, x)
 
+    # images and products are unchecked: a lattice symplectomorphism maps
+    # Lagrangians and frames to Lagrangians and frames
     def apply_lagrangian(self, lag: Lagrangian) -> Lagrangian:
         if lag.space != self.space:
             raise SpaceMismatch("Lagrangian lives in a different space")
-        return Lagrangian.make(self.space, [self.apply(r) for r in lag.gens])
+        gens = hnf_rows([self.apply(r) for r in lag.gens])
+        return _trusted(Lagrangian, space=self.space, gens=gens)
 
     def apply_basis(self, basis: AdaptedBasis) -> AdaptedBasis:
-        return AdaptedBasis(
-            self.space,
-            tuple(self.apply(r) for r in basis.w),
-            tuple(self.apply(r) for r in basis.wperp),
-        )
+        w, wperp = (tuple(map(self.apply, rows)) for rows in (basis.w, basis.wperp))
+        return _trusted(AdaptedBasis, space=self.space, w=w, wperp=wperp)
 
     def __mul__(self, other: "SpElement") -> "SpElement":
         if self.space != other.space:
             raise SpaceMismatch("elements act on different spaces")
-        return SpElement(self.space, freeze(mat_mul(self.mat, other.mat)))
+        return _trusted(SpElement, space=self.space, mat=freeze(mat_mul(self.mat, other.mat)))
 
     def inv(self) -> "SpElement":
         return SpElement(self.space, freeze(int_inv(self.mat)))
@@ -183,7 +184,8 @@ class MpElement:
     Only the mod-2 parity of z is checked here.  The finer mod-4 condition
     singling out the metaplectic double cover is guaranteed when elements are
     produced through mp_generator and mp_mul; directly constructed pairs are
-    accepted unchecked beyond parity.
+    accepted unchecked beyond parity.  mp_mul builds its product unchecked:
+    tau(L1, L2, L3) = g + sum dim(Li meet Lj) mod 2 gives it the parity.
     """
 
     base: Lagrangian
@@ -214,7 +216,7 @@ def mp_mul(x: MpElement, y: MpElement) -> MpElement:
         x.b.apply_lagrangian(base),
         b_total.apply_lagrangian(base),
     )
-    return MpElement(base, b_total, (x.z + y.z + t) % 8)
+    return _trusted(MpElement, base=base, b=b_total, z=(x.z + y.z + t) % 8)
 
 
 def mp_act(x: MpElement, lift: LagrangianLift) -> LagrangianLift:
@@ -258,7 +260,8 @@ def mp_generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> MpElement:
 
 
 def _generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> tuple[SpElement, int]:
-    """The symplectic map and the central index z of mp_generator's element."""
+    """The symplectic map and the central index z of mp_generator's element;
+    the map is unchecked, a symplectic block in a symplectic lattice frame."""
     space = basis.space
     g = space.g
     if kind == "epsilon":
@@ -288,4 +291,4 @@ def _generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> tuple[SpElemen
         z = g % 8
     else:
         raise ValueError(f"unknown generator kind: {kind!r}")
-    return SpElement(space, freeze(_frame_to_ambient(basis, block))), z
+    return _trusted(SpElement, space=space, mat=freeze(_frame_to_ambient(basis, block))), z

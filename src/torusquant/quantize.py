@@ -45,7 +45,6 @@ from .exact import (
     coset_box,
     coset_reps,
     det,
-    frac_inv,
     hnf_rows,
     mat_mul,
     mat_vec,
@@ -301,17 +300,15 @@ def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tupl
     if d == 0:
         raise NotTransverse("polarizations are not transverse")
     _check_budget(abs(d))
-    om21inv = frac_inv(om21)
+    # x = om21^{-1} (q2/k + l) W1 - om21^{-T} (q1/k) W2, over k d in integers:
+    # k d x = adj(om21) (q2 + k l) W1 - adj(om21)^T q1 W2
+    adj = adjugate(om21)
+    offset = vec_mat(mat_vec(transpose(adj), q1), b2.w)
+    head = mat_vec(adj, q2)
     points = []
     for l in coset_reps(om21):
-        rhs2 = [Fraction(q, k) + li for q, li in zip(q2, l)]
-        alpha = mat_vec(om21inv, rhs2)
-        beta = mat_vec(transpose(om21inv), [Fraction(q, k) for q in q1])
-        x = tuple(
-            a - b
-            for a, b in zip(vec_mat(alpha, b1.w), vec_mat(beta, b2.w))
-        )
-        points.append(x)
+        x = vec_mat([h + k * y for h, y in zip(head, mat_vec(adj, l))], b1.w)
+        points.append(tuple(Fraction(u - v, k * d) for u, v in zip(x, offset)))
     return points
 
 

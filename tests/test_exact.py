@@ -1,11 +1,13 @@
+import cmath
 import functools
 import math
 import operator
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusquant.exact import (
@@ -353,6 +355,71 @@ class TestGaussSums:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             gauss_reciprocity_check([[1, 1], [1, 1]], 2)
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def quad_form(x, m, y):
+    """x^T . m . y, exact."""
+    return dot(x, mat_vec(m, y))
+
+
+def reference_gauss_reciprocity(q, a, w):
+    """Both sides of the reciprocity formula with Fraction exponents: the
+    evaluation gauss_reciprocity_check made before its exponents became
+    integers over one denominator."""
+    g = len(q)
+    w = [Fraction(x) for x in w]
+    lhs = 0j
+    for vec in product(range(a), repeat=g):
+        t = Fraction(quad_form(vec, q, vec), a) + 2 * dot(w, vec)
+        lhs += cmath.exp(1j * math.pi * float(t % 2))
+    qinv = frac_inv(q)
+    tail = 0j
+    for m in coset_reps(q):
+        mw = [Fraction(x) + y for x, y in zip(m, w)]
+        t = -a * quad_form(mw, qinv, mw)
+        tail += cmath.exp(1j * math.pi * float(t % 2))
+    sig = signature(q)
+    rhs = (
+        math.sqrt(abs(a**g / float(det(q))))
+        * cmath.exp(1j * math.pi * sig.index / 4)
+        * tail
+    )
+    return lhs, rhs
+
+
+@st.composite
+def gauss_inputs(draw):
+    """(Q, a, w): Q symmetric with entries in [-5, 5] at g <= 3, a even up
+    to 8, a w integral."""
+    g = draw(st.integers(1, 3))
+    q = [[0] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            q[i][j] = q[j][i] = draw(st.integers(-5, 5))
+    a = draw(st.sampled_from((2, 4, 6, 8)))
+    w = [Fraction(draw(st.integers(-a, a)), a) for _ in range(g)]
+    return q, a, w
+
+
+def bits(sides):
+    return [x.hex() for z in sides for x in (z.real, z.imag)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gauss_inputs())
+# det Q of both signs, each with w != 0
+@example(([[-3]], 4, [Fraction(1, 4)]))
+@example(([[2, 1], [1, -3]], 6, [Fraction(1, 6), Fraction(-1, 2)]))
+@example(([[3, 1, 0], [1, 2, 1], [0, 1, 4]], 8, [Fraction(3, 8), 0, Fraction(-5, 8)]))
+@example(([[1, 2, 0], [2, 1, 0], [0, 0, 5]], 2, [Fraction(1, 2), 1, 0]))
+def test_gauss_check_is_bit_identical_to_the_fraction_reference(case):
+    q, a, w = case
+    assume(det(q) != 0)
+    assert bits(gauss_reciprocity_check(q, a, w)) == bits(reference_gauss_reciprocity(q, a, w))
 
 
 class TestPhases:

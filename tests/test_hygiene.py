@@ -4,7 +4,9 @@ No module of the package or of the tests imports a name it never uses; the
 package's __init__.py is exempt, its imports are the public re-exports.
 Every cache in the package has a finite integer size.  Every function the
 benchmark's traced run wraps (perfbench/spans.py, TRACED) exists.  Every
-private module-level helper of the package is used somewhere in it.
+private module-level helper of the package is used somewhere in it.  The
+unchecked constructor lattice._trusted is reached only from the pinned
+images that are valid by construction.
 """
 
 import ast
@@ -165,3 +167,52 @@ def test_traced_names_resolve():
     exec(compile(path.read_text(), str(path), "exec"), spans)
     assert spans["TRACED"]
     assert unresolved(spans["TRACED"]) == []
+
+
+def trusted_sites(sources: dict[str, str]) -> list[str]:
+    """module.qualname of each function that references _trusted, once per
+    reference (imports and its own definition aside); sources maps a module
+    name to its text."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if _name(child) == "_trusted" and isinstance(child, (ast.Name, ast.Attribute)):
+                sites.append(".".join(scope))
+            visit(child, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), [module])
+    return sorted(sites)
+
+
+def test_checker_finds_trusted_sites():
+    sources = {
+        "a": "def _trusted(cls): pass\nclass C:\n    def f(self):\n        return _trusted(C)\n",
+        "b": "from .a import _trusted\nimport a\ndef g():\n    def h():\n        return a._trusted\n"
+        "    return _trusted(1), _trusted(2)\nmake = _trusted\n",
+    }
+    assert trusted_sites(sources) == ["a.C.f", "b", "b.g", "b.g", "b.g.h"]
+
+
+# The images valid by construction: a symplectomorphism's images and
+# products, the standard generators, spans of frames, intersections and
+# pair-adapted frames, and metaplectic products.
+TRUSTED_SITES = [
+    "lattice.AdaptedBasis.span",
+    "lattice.intersect",
+    "lattice.intersect",
+    "lattice.pair_adapted_bases.assemble",
+    "maslov.SpElement.__mul__",
+    "maslov.SpElement.apply_basis",
+    "maslov.SpElement.apply_lagrangian",
+    "maslov._generator",
+    "maslov.mp_mul",
+]
+
+
+def test_trusted_constructor_sites_are_pinned():
+    assert trusted_sites({p.stem: p.read_text() for p in PACKAGE}) == TRUSTED_SITES

@@ -21,7 +21,7 @@ from torusquant.exact import (
     hnf_rows,
     identity,
     mat_mul,
-    quad_form,
+    mat_vec,
     transpose,
 )
 from torusquant.lattice import (
@@ -35,6 +35,12 @@ from torusquant.lattice import (
 )
 from torusquant.maslov import SpElement
 from torusquant.verify import random_lagrangian, random_pair, random_unimodular
+
+
+def quad_form(x, m, y):
+    """x^T . m . y, exact."""
+    return sum(a * b for a, b in zip(x, mat_vec(m, y)))
+
 
 SP1 = SymplecticSpace.standard(1)
 SP2 = SymplecticSpace.standard(2)

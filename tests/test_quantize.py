@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusquant import quantize
@@ -30,7 +30,6 @@ from torusquant.exact import (
     frac_inv,
     mat_mul,
     mat_vec,
-    quad_form,
     transpose,
     vec_mat,
 )
@@ -71,6 +70,12 @@ from torusquant.verify import (
     random_symmetric,
     random_unimodular,
 )
+
+
+def quad_form(x, m, y):
+    """x^T . m . y, exact."""
+    return sum(a * b for a, b in zip(x, mat_vec(m, y)))
+
 
 SP1 = SymplecticSpace.standard(1)
 SP2 = SymplecticSpace.standard(2)
@@ -188,6 +193,32 @@ class TestIntersectionPoints:
     def test_nontransverse_rejected(self):
         with pytest.raises(NotTransverse):
             intersection_points(hilbert(L_E1, 2), hilbert(L_E1, 2), (0,), (0,))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((1, 2, 3)), st.sampled_from((2, 4)), st.integers(0, 2**32))
+    def test_points_equal_the_fraction_reference(self, g, k, seed):
+        rng = random.Random(seed)
+        space = SymplecticSpace.standard(g)
+        h1, h2 = (hilbert(random_lagrangian(rng, space), k) for _ in range(2))
+        # transverse, with at most 64 points per label pair
+        assume(0 < abs(det(space.block(h2.pol.basis.w, h1.pol.basis.w))) <= 64)
+        q1, q2 = (tuple(rng.randrange(k) for _ in range(g)) for _ in range(2))
+        assert intersection_points(h1, h2, q1, q2) == reference_intersection_points(h1, h2, q1, q2)
+
+
+def reference_intersection_points(h1, h2, q1, q2):
+    """The points through the rational inverse of omega(2,1), as
+    intersection_points computed them before its integer numerators."""
+    k = h1.k
+    b1, b2 = h1.pol.basis, h2.pol.basis
+    om21 = h1.pol.space.block(b2.w, b1.w)
+    om21inv = frac_inv(om21)
+    beta = mat_vec(transpose(om21inv), [Fraction(q, k) for q in q1])
+    points = []
+    for l in coset_reps(om21):
+        alpha = mat_vec(om21inv, [Fraction(q, k) + li for q, li in zip(q2, l)])
+        points.append(tuple(a - b for a, b in zip(vec_mat(alpha, b1.w), vec_mat(beta, b2.w))))
+    return points
 
 
 class TestTransverseMatrix:

@@ -1,0 +1,104 @@
+"""The images the lattice layer builds unchecked equal their checked
+construction: re-running the public constructor on each gives an equal
+object, so every validation it skips would have passed."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torusquant.lattice import (
+    AdaptedBasis,
+    Lagrangian,
+    SymplecticSpace,
+    adapted_basis,
+    intersect,
+    pair_adapted_bases,
+)
+from torusquant.maslov import MpElement, SpElement, _generator, mp_mul
+from torusquant.verify import (
+    _random_generators,
+    random_lagrangian,
+    random_mp_word,
+    random_pair,
+    random_sp,
+)
+
+CASES = settings(max_examples=100, deadline=None)
+DRAWS = (st.sampled_from((1, 2, 3)), st.integers(0, 2**32))
+
+
+def checked_lagrangian(lag: Lagrangian) -> Lagrangian:
+    return Lagrangian.make(lag.space, lag.gens)
+
+
+def checked_frame(basis: AdaptedBasis) -> AdaptedBasis:
+    return AdaptedBasis(basis.space, basis.w, basis.wperp)
+
+
+def checked_map(b: SpElement) -> SpElement:
+    return SpElement(b.space, b.mat)
+
+
+@CASES
+@given(*DRAWS)
+def test_lagrangian_images_and_spans(g, seed):
+    rng = random.Random(seed)
+    space = SymplecticSpace.standard(g)
+    lag = random_lagrangian(rng, space)
+    basis = adapted_basis(lag)
+    b = random_sp(rng, basis, rng.randrange(1, 5))
+    part = random_lagrangian(rng, space, rank=rng.randrange(g + 1))
+    for img in (b.apply_lagrangian(lag), b.apply_lagrangian(part)):
+        assert checked_lagrangian(img) == img
+    # the image is the Lagrangian the image rows span
+    assert b.apply_lagrangian(part) == Lagrangian.make(space, [b.apply(r) for r in part.gens])
+    assert checked_lagrangian(basis.span()) == basis.span() == lag
+
+
+@CASES
+@given(*DRAWS)
+def test_frame_images(g, seed):
+    rng = random.Random(seed)
+    basis = adapted_basis(random_lagrangian(rng, SymplecticSpace.standard(g)))
+    b = random_sp(rng, basis, rng.randrange(1, 5))
+    moved = b.apply_basis(basis)
+    assert checked_frame(moved) == moved
+    assert checked_lagrangian(moved.span()) == moved.span()
+
+
+@CASES
+@given(*DRAWS)
+def test_generators_and_products(g, seed):
+    rng = random.Random(seed)
+    basis = adapted_basis(random_lagrangian(rng, SymplecticSpace.standard(g)))
+    for args in _random_generators(rng, basis, 4):
+        gen = _generator(basis, *args)[0]
+        assert checked_map(gen) == gen
+    b, c = (random_sp(rng, basis, rng.randrange(1, 5)) for _ in range(2))
+    assert checked_map(b * c) == b * c
+
+
+@CASES
+@given(*DRAWS)
+def test_intersections_and_pair_adapted_bases(g, seed):
+    rng = random.Random(seed)
+    space = SymplecticSpace.standard(g)
+    l1, l2 = random_pair(rng, space)
+    part = random_lagrangian(rng, space, rank=rng.randrange(g + 1))
+    for a, b in ((l1, l2), (l2, l1), (l1, part), (part, l2)):
+        meet = intersect(a, b)
+        assert checked_lagrangian(meet) == meet
+    for frame, lag in zip(pair_adapted_bases(l1, l2), (l1, l2)):
+        assert checked_frame(frame) == frame
+        assert frame.span() == lag
+
+
+@CASES
+@given(*DRAWS)
+def test_mp_products_have_the_checked_parity(g, seed):
+    rng = random.Random(seed)
+    basis = adapted_basis(random_lagrangian(rng, SymplecticSpace.standard(g)))
+    x, y = (random_mp_word(rng, basis, rng.randrange(1, 5)) for _ in range(2))
+    for prod in (mp_mul(x, y), mp_mul(y, x), mp_mul(x, x)):
+        assert MpElement(prod.base, prod.b, prod.z) == prod
