@@ -269,14 +269,20 @@ def invariant_factors(m: Matrix) -> tuple[int, ...]:
 # determinants, rational solving
 
 
-def det(m: Matrix) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+def _int_square(m: Matrix, what: str) -> int:
+    """The size of a square integer matrix; DimensionMismatch otherwise."""
     n, c = shape(m)
     if n != c:
-        raise DimensionMismatch("determinant of a nonsquare matrix")
+        raise DimensionMismatch(f"{what} of a nonsquare matrix")
     if not all(isinstance(x, int) for row in m for x in row):
         # Bareiss divides exactly with //, which floors non-integer entries
-        raise DimensionMismatch("determinant needs integer entries")
+        raise DimensionMismatch(f"{what} needs integer entries")
+    return n
+
+
+def det(m: Matrix) -> int:
+    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    n = _int_square(m, "determinant")
     if n == 0:
         return 1
     a = [list(r) for r in m]
@@ -336,24 +342,43 @@ def frac_inv(m: Matrix) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
+def _adjugate_det(m: Matrix, what: str) -> tuple[list[list[int]] | None, int]:
+    """(adj m or None if det m = 0, det m) by fraction-free Gauss-Jordan on
+    [m | I]: entries stay minors, so each division by the last pivot is exact;
+    it ends as s det m and the right block as s adj m, s the swaps' sign."""
+    n = _int_square(m, what)
+    a = [list(row) + e for row, e in zip(m, identity(n))]
+    sign = prev = 1
+    for t in range(n):
+        piv = next((i for i in range(t, n) if a[i][t]), None)
+        if piv is None:
+            return None, 0
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            sign = -sign
+        top, p = a[t], a[t][t]
+        for i in range(n):
+            if i != t:
+                f = a[i][t]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
+
+
 def int_inv(m: Matrix) -> list[list[int]]:
     """Inverse of a unimodular integer matrix, returned with int entries."""
-    inv = frac_inv(m)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise SingularMatrix("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+    adj, d = _adjugate_det(m, "inverse")
+    if abs(d) != 1:
+        raise SingularMatrix("matrix is not unimodular" if d else "matrix is singular")
+    return [[d * x for x in row] for row in adj]
 
 
 def adjugate(m: Matrix) -> list[list[int]]:
     """det(m) * m^{-1} for a nonsingular integer matrix (integer entries)."""
-    d = det(m)
+    adj, d = _adjugate_det(m, "determinant")
     if d == 0:
         raise SingularMatrix("adjugate of a singular matrix")
-    inv = frac_inv(m)
-    return [[int(d * x) for x in row] for row in inv]
+    return adj
 
 
 def solve(a: Matrix, rhs: Vector) -> tuple[Fraction, ...]:
@@ -601,7 +626,7 @@ def gauss_reciprocity_check(
         raise DimensionMismatch("w has wrong length")
     if any((a * x).denominator != 1 for x in w):
         raise ValueError("a*w must be integral")
-    d = det(q)
+    adj, d = _adjugate_det(q, "determinant")
     if d == 0:
         raise SingularMatrix("Q must be nonsingular")
 
@@ -614,7 +639,6 @@ def gauss_reciprocity_check(
         n = sum(x * (y + 2 * z) for x, y, z in zip(vec, mat_vec(q, vec), aw))
         lhs += cmath.exp(1j * math.pi * ((n % (2 * a)) / a))
 
-    adj = adjugate(q)
     den = a * abs(d)
     sign = -1 if d > 0 else 1
     tail = 0j

@@ -35,6 +35,12 @@ from .exact import (
 # and standard(64) plus the adapted basis of one Lagrangian take under 1 s.
 MAX_G = 64
 
+# Bound of every lru_cache here and of quantize's memos (canonical frames and
+# the pairing's integer set-up), which hold frozen dataclasses and int tuples,
+# never arrays.  The largest entry, two frames with their inverses and keys,
+# takes about 0.6 MB at MAX_G = 64 with small entries and a few KB at g <= 3.
+MEMO_CACHE_SIZE = 128
+
 
 def _check_g(g: int) -> None:
     if g > MAX_G:
@@ -75,7 +81,7 @@ class SymplecticSpace:
         object.__setattr__(self, "terms", terms)
 
     @staticmethod
-    @lru_cache(maxsize=8, typed=True)
+    @lru_cache(maxsize=MEMO_CACHE_SIZE, typed=True)
     def standard(g: int) -> "SymplecticSpace":
         """The standard form of rank 2g, one shared instance per g."""
         _check_g(g)
@@ -252,6 +258,7 @@ def _complete_pairs(space: SymplecticSpace, remaining):
     return pairs
 
 
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
 def adapted_basis(lag: Lagrangian) -> AdaptedBasis:
     """Integer symplectic basis whose first rank(L) W-rows span L.
 
@@ -265,6 +272,7 @@ def adapted_basis(lag: Lagrangian) -> AdaptedBasis:
     return AdaptedBasis(space, w, wperp)
 
 
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
 def intersect(l1: Lagrangian, l2: Lagrangian) -> Lagrangian:
     """The isotropic sublattice L1 meet L2, unchecked: the left kernel of the
     stacked generators maps onto a basis, primitive as a meet of primitives."""
@@ -277,6 +285,7 @@ def intersect(l1: Lagrangian, l2: Lagrangian) -> Lagrangian:
     return _trusted(Lagrangian, space=l1.space, gens=hnf_rows(vecs))
 
 
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
 def pair_adapted_bases(l1: Lagrangian, l2: Lagrangian) -> tuple[AdaptedBasis, AdaptedBasis]:
     """Adapted bases of two full Lagrangians sharing the intersection pairs.
 

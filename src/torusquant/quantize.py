@@ -45,6 +45,7 @@ from .exact import (
     coset_box,
     coset_reps,
     det,
+    freeze,
     hnf_rows,
     mat_mul,
     mat_vec,
@@ -52,6 +53,7 @@ from .exact import (
     vec_mat,
 )
 from .lattice import (
+    MEMO_CACHE_SIZE,
     AdaptedBasis,
     Lagrangian,
     SymplecticSpace,
@@ -77,10 +79,11 @@ class Polarization:
         if hnf_rows(self.basis.w) != self.lag.gens:
             raise BasisMismatch("frame W rows do not span the Lagrangian")
 
-    @classmethod
-    def canonical(cls, lag: Lagrangian) -> "Polarization":
+    @staticmethod
+    @lru_cache(maxsize=MEMO_CACHE_SIZE)
+    def canonical(lag: Lagrangian) -> "Polarization":
         """The deterministic polarization frame of a Lagrangian."""
-        return cls(lag, adapted_basis(lag))
+        return Polarization(lag, adapted_basis(lag))
 
     @property
     def space(self) -> SymplecticSpace:
@@ -316,6 +319,26 @@ def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tupl
 # closed-form pairing matrices
 
 
+@lru_cache(maxsize=MEMO_CACHE_SIZE)
+def _closed_form_setup(b1: AdaptedBasis, b2: AdaptedBasis, h: int):
+    """The k-independent part of _closed_form(b1, b2, k, h): d = det R and,
+    unless no level fits the budget, M1, M3 and adj(R), each with the sign of
+    d, and the coset box (diag, W) of R, as int tuples."""
+    space = b1.space
+    r = space.block(b2.w[:h], b1.w[:h])
+    d = det(r)
+    # pair-adapted frames always give a nonsingular R (h < g)
+    if d == 0:
+        raise NotTransverse("polarizations are not transverse")
+    if 4**space.g * abs(d) > MAX_TABLE_TERMS:
+        return d, None
+    adj = freeze([[x if d > 0 else -x for x in row] for row in adjugate(r)])
+    m1 = mat_mul(adj, space.block(b2.w[:h], b1.wperp[:h]))
+    m3 = mat_mul(space.block(b2.wperp[:h], b1.w[:h]), adj)
+    diag, uinv = coset_box(r)
+    return d, (freeze(m1), freeze(m3), adj, tuple(diag), freeze(uinv))
+
+
 def _closed_form(b1: AdaptedBasis, b2: AdaptedBasis, k: int, h: int) -> PhaseTable:
     """The pairing table from the leading h x h parts R, P, S of the pairing
     blocks (omega(2,1), omega(2,1perp), omega(2perp,1)) of two frames;
@@ -324,15 +347,10 @@ def _closed_form(b1: AdaptedBasis, b2: AdaptedBasis, k: int, h: int) -> PhaseTab
     with a = q1[:h], it is |k^h d|^{-1/2} times the sum over w = q2[:h] + k l,
     l in Z^h / R Z^h, of e^{(pi i/dk)(a^T M1 a - 2 a^T adj(R) w - w^T M3 w)},
     where d = det R, M1 = adj(R) P and M3 = S adj(R)."""
-    space, g = b1.space, b1.space.g
-    r = space.block(b2.w[:h], b1.w[:h])
-    p = space.block(b2.w[:h], b1.wperp[:h])
-    s = space.block(b2.wperp[:h], b1.w[:h])
-    d = det(r)
-    # pair-adapted frames always give a nonsingular R (h < g)
-    if d == 0:
-        raise NotTransverse("polarizations are not transverse")
+    g = b1.space.g
+    d, ints = _closed_form_setup(b1, b2, h)
     _check_budget(k ** (2 * g) * abs(d))
+    m1, m3, adj, diag, uinv = ints
     den = abs(d) * k
     m = 2 * den
     # The sign of d goes into the matrices, and each one is reduced mod 2 den
@@ -340,13 +358,11 @@ def _closed_form(b1: AdaptedBasis, b2: AdaptedBasis, k: int, h: int) -> PhaseTab
     # is reduced too.  The budget gives den <= 2^22 and g <= 11, so every
     # product has two factors below 2^23 and every sum of them stays below
     # 2^46 g: no int64 intermediate can overflow.
-    adj = [[x if d > 0 else -x for x in row] for row in adjugate(r)]
-    diag, uinv = coset_box(r)
     head = _grid((k,) * h)
     reps = _grid(diag) @ _mod(uinv, m).T % m
     w = (head[:, None, :] + k * reps[None, :, :]) % m
-    n1 = _quad(head, _mod(mat_mul(adj, p), m), m)
-    n3 = _quad(w, _mod(mat_mul(s, adj), m), m)
+    n1 = _quad(head, _mod(m1, m), m)
+    n3 = _quad(w, _mod(m3, m), m)
     adj_w = w @ _mod(adj, den).T % den
     # C-contiguous, so that value() sums each entry's terms in one order
     nums = np.matmul(-2 * head, adj_w.transpose(0, 2, 1))

@@ -24,12 +24,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import TorusQuantError
 from .exact import (
     UnitPhase,
     coset_reps,
     det,
     gauss_reciprocity_check,
+    hnf_rows,
+    invariant_factors,
     mat_mul,
     multixgcd,
     right_kernel,
@@ -145,12 +146,11 @@ def random_lagrangian(
             cand = vec_mat(coeffs, kern) if any(coeffs) else None
         if cand is None or not any(cand):
             continue
-        try:
-            bigger = Lagrangian.make(space, rows + [cand])
-        except TorusQuantError:
-            continue
-        if bigger.rank == len(rows) + 1:
-            rows = list(bigger.gens)
+        # a kernel vector pairs to zero with rows: what is left to check is
+        # that the bigger family is independent and spans a primitive lattice
+        canon = hnf_rows(rows + [cand])
+        if len(canon) == len(rows) + 1 and all(f == 1 for f in invariant_factors(canon)):
+            rows = list(canon)
     return Lagrangian.make(space, rows)
 
 

@@ -2,7 +2,8 @@
 
 No module of the package or of the tests imports a name it never uses; the
 package's __init__.py is exempt, its imports are the public re-exports.
-Every cache in the package has a finite integer size.  Every function the
+Every cache in the package has a finite integer size, and the memoized
+functions are pinned, each bounded by a named constant.  Every function the
 benchmark's traced run wraps (perfbench/spans.py, TRACED) exists.  Every
 private module-level helper of the package is used somewhere in it.  The
 unchecked constructor lattice._trusted is reached only from the pinned
@@ -90,17 +91,30 @@ def _name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
-def unbounded_caches(source: str) -> list[int]:
-    """Lines of lru_cache or cache uses without a finite integer maxsize,
-    given as a literal or a module-level integer constant."""
-    tree = ast.parse(source)
-    ints = {
+def constants(source: str) -> dict:
+    """The module-level constants NAME = literal of a source."""
+    return {
         target.id: node.value.value
-        for node in tree.body
+        for node in ast.parse(source).body
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
         for target in node.targets
         if isinstance(target, ast.Name)
     }
+
+
+def unbounded_caches(source: str, others: dict | None = None) -> list[int]:
+    """Lines of lru_cache or cache uses without a finite integer maxsize,
+    given as a literal, a module-level integer constant, or one imported by
+    name from a module of others (module name -> its constants)."""
+    tree, others = ast.parse(source), others or {}
+    ints = {
+        alias.asname or alias.name: others[node.module][alias.name]
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in others
+        for alias in node.names
+        if alias.name in others[node.module]
+    }
+    ints.update(constants(source))
     bad = []
     for node in ast.walk(tree):
         # a bare decorator: cache, or lru_cache with its default size
@@ -130,11 +144,75 @@ def test_checker_finds_unbounded_caches():
         "f = lru_cache(maxsize=UNKNOWN)(len)\n"
     )
     assert unbounded_caches(source) == [8, 10, 12, 14]
+    source = (
+        "from .a import SIZE, NAME\nfrom .b import SIZE as B\nfrom functools import lru_cache\n"
+        "@lru_cache(maxsize=SIZE)\ndef a(): pass\n"
+        "@lru_cache(maxsize=NAME)\ndef b(): pass\n"
+        "@lru_cache(maxsize=B)\ndef c(): pass\n"
+    )
+    others = {"a": {"SIZE": 8, "NAME": "eight"}, "b": {"SIZE": 16}}
+    assert unbounded_caches(source, others) == [6]
+    assert unbounded_caches(source) == [4, 6, 8]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_caches_are_bounded(path):
-    assert unbounded_caches(path.read_text()) == []
+    others = {p.stem: constants(p.read_text()) for p in PACKAGE}
+    assert unbounded_caches(path.read_text(), others) == []
+
+
+def memoized(sources: dict[str, str]) -> dict[str, str | None]:
+    """module.qualname of each function with an lru_cache decorator -> the
+    name of its maxsize argument (None unless a bare name); sources maps a
+    module name to its text."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                for deco in getattr(child, "decorator_list", []):
+                    if isinstance(deco, ast.Call) and _name(deco.func) == "lru_cache":
+                        sizes = deco.args[:1] + [kw.value for kw in deco.keywords if kw.arg == "maxsize"]
+                        name = sizes[0].id if sizes and isinstance(sizes[0], ast.Name) else None
+                        found[".".join(scope + [child.name])] = name
+                visit(child, scope + [child.name])
+
+    for module, source in sources.items():
+        visit(ast.parse(source), [module])
+    return found
+
+
+def test_checker_finds_memoized_functions():
+    sources = {
+        "a": "from functools import lru_cache\nN = 4\n@lru_cache(maxsize=N)\ndef f(): pass\n"
+        "class C:\n    @staticmethod\n    @lru_cache(8)\n    def g(): pass\n    def h(): pass\n",
+    }
+    assert memoized(sources) == {"a.f": "N", "a.C.g": None}
+
+
+# The memos of the package and the named constant that bounds each: the
+# lattice memos hold frozen dataclasses and int tuples, never arrays.
+MEMOIZED = {
+    "lattice.SymplecticSpace.standard": "MEMO_CACHE_SIZE",
+    "lattice.adapted_basis": "MEMO_CACHE_SIZE",
+    "lattice.intersect": "MEMO_CACHE_SIZE",
+    "lattice.pair_adapted_bases": "MEMO_CACHE_SIZE",
+    "quantize.Polarization.canonical": "MEMO_CACHE_SIZE",
+    "quantize._labels": "LABELS_CACHE_SIZE",
+    "quantize._closed_form_setup": "MEMO_CACHE_SIZE",
+}
+
+
+def test_memoized_functions_are_pinned():
+    assert memoized({p.stem: p.read_text() for p in PACKAGE}) == MEMOIZED
+    for qualname, constant in MEMOIZED.items():
+        module, *attrs = qualname.split(".")
+        obj = module = importlib.import_module("torusquant." + module)
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        size = getattr(module, constant)
+        assert type(size) is int and size >= 1
+        assert obj.cache_parameters()["maxsize"] == size
 
 
 def unresolved(traced) -> list[str]:
