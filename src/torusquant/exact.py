@@ -1,7 +1,9 @@
-"""Exact integer and rational linear algebra plus phase bookkeeping.
+"""Exact integer linear algebra plus phase bookkeeping.
 
-Matrices are plain lists (or tuples) of rows; vectors are sequences.  Integer
-routines stay in ZZ, rational ones use fractions.Fraction, and nothing here
+Matrices are plain lists (or tuples) of rows; vectors are sequences.  Every
+elimination is fraction-free and stays in ZZ; fractions.Fraction holds only
+the rational exponents of UnitPhase / PhaseSum and the rational input a
+signature or a Gauss sum shift may take.  Nothing here
 touches floating point except the explicit complex evaluation helpers on
 UnitPhase / PhaseSum and the Gauss sum check, which returns both sides of the
 reciprocity formula as complex numbers for external comparison (its phase
@@ -266,7 +268,7 @@ def invariant_factors(m: Matrix) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# determinants, rational solving
+# determinants, adjugates and integer inverses
 
 
 def _int_square(m: Matrix, what: str) -> int:
@@ -301,45 +303,6 @@ def det(m: Matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def _rref(rows: Matrix, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan over the rationals, pivoting on the first ncols columns.
-
-    Returns the reduced rows (each pivot row scaled to 1 at its pivot, the
-    pivot column cleared elsewhere) and the pivot columns in order; the
-    pivot row is the first nonzero one at or below the current row.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    nr = len(m)
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return m, pivots
-
-
-def frac_inv(m: Matrix) -> list[list[Fraction]]:
-    """Exact inverse over the rationals; raises SingularMatrix."""
-    n, c = shape(m)
-    if n != c:
-        raise DimensionMismatch("inverse of a nonsquare matrix")
-    a, pivots = _rref([list(row) + e for row, e in zip(m, identity(n))], n)
-    if len(pivots) < n:
-        raise SingularMatrix("matrix is singular")
-    return [row[n:] for row in a]
 
 
 def _adjugate_det(m: Matrix, what: str) -> tuple[list[list[int]] | None, int]:
@@ -379,26 +342,6 @@ def adjugate(m: Matrix) -> list[list[int]]:
     if d == 0:
         raise SingularMatrix("adjugate of a singular matrix")
     return adj
-
-
-def solve(a: Matrix, rhs: Vector) -> tuple[Fraction, ...]:
-    """Solve a . x = rhs exactly (a square nonsingular, column convention)."""
-    return tuple(mat_vec(frac_inv(a), [Fraction(x) for x in rhs]))
-
-
-def solve_underdetermined(a: Matrix, rhs: Vector) -> tuple[Fraction, ...]:
-    """One exact solution of a . x = rhs with free variables pinned to zero.
-
-    Raises SingularMatrix if the system is inconsistent.
-    """
-    _, nc = shape(a)
-    m, pivots = _rref([list(row) + [r] for row, r in zip(a, rhs)], nc)
-    if any(row[nc] for row in m[len(pivots):]):
-        raise SingularMatrix("inconsistent linear system")
-    x = [Fraction(0)] * nc
-    for row, c in zip(m, pivots):
-        x[c] = row[nc]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

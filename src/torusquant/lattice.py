@@ -258,7 +258,6 @@ def _complete_pairs(space: SymplecticSpace, remaining):
     return pairs
 
 
-@lru_cache(maxsize=MEMO_CACHE_SIZE)
 def adapted_basis(lag: Lagrangian) -> AdaptedBasis:
     """Integer symplectic basis whose first rank(L) W-rows span L.
 

@@ -16,6 +16,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .exact import (
+    adjugate,
     det,
     freeze,
     hnf_rows,
@@ -24,7 +25,6 @@ from .exact import (
     mat_mul,
     mat_vec,
     signature,
-    solve,
     transpose,
     vec_mat,
     zeros,
@@ -67,14 +67,14 @@ def triple_index_transverse(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> i
         raise SpaceMismatch("Lagrangians live in different spaces")
     if intersect(l1, l3).rank != 0:
         raise NotTransverse("L1 and L3 are not transverse")
-    basis = list(l1.gens) + list(l3.gens)
-    bt = transpose(basis)
-    proj = []
-    for v in l2.gens:
-        coeffs = solve(bt, v)  # v = coeffs . basis rows
-        proj.append(vec_mat(coeffs[l1.rank :], l3.gens))
-    h = space.block(l2.gens, proj)
-    return signature(h).index
+    # v = c . (L1 rows + L3 rows) with c = adj(B) v / d, B the transposed
+    # stack: the projections are integer rows over d, and scaling the form by
+    # |d| > 0 keeps its signature (Sylvester), so no fraction is ever formed
+    bt = transpose(list(l1.gens) + list(l3.gens))
+    d = det(bt)
+    adj = [[x if d > 0 else -x for x in row] for row in adjugate(bt)]
+    proj = [vec_mat(mat_vec(adj, v)[l1.rank :], l3.gens) for v in l2.gens]
+    return signature(space.block(l2.gens, proj)).index
 
 
 # ---------------------------------------------------------------------------

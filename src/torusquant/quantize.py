@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import add
 
 import numpy as np
 
@@ -288,6 +289,40 @@ def _common_space(h1: HilbertSpace, h2: HilbertSpace) -> SymplecticSpace:
     return h1.pol.space
 
 
+def _leaf_points(b1: AdaptedBasis, b2: AdaptedBasis, k: int, h: int, pairs):
+    """The points of the defining sum, for two frames that share their pairs
+    past position h: (d, points), d = det R, and for each label pair (q1, q2)
+    of pairs one point per coset l of Z^h / R Z^h, in coset enumeration
+    order, each an integer ambient vector X of the point x = X / (k d).
+
+    With R = omega(W2[:h], W1[:h]) and P = omega(W2[:h], W1perp), the point
+    has frame-1 coordinates b = q1/k, a[h:] = 0 and
+    a[:h] = adj(R) (q2[:h] + k l - P q1) / (k d): it pairs to q1/k with W1
+    and to q2[:h]/k + l with W2[:h].  For h = g these are all the
+    intersection points; for h < g moving x along a shared W row leaves
+    2k(K2 - K1) unchanged when q1[h:] = q2[h:], so one point per leaf does.
+    """
+    space = b1.space
+    r = space.block(b2.w[:h], b1.w[:h])
+    d = det(r)
+    if d == 0:
+        raise NotTransverse("polarizations are not transverse")
+    _check_budget(abs(d))
+    adj = adjugate(r)
+    # X = (adj(R) (q2[:h] - P q1) + k adj(R) l) W1[:h] + d q1 W1perp, where
+    # P q1 pairs W2[:h] with q1 W1perp; the coset part is one step per l
+    frame = b1.w[:h] + b1.wperp
+    zero = (0,) * len(b1.wperp)
+    steps = [vec_mat(mat_vec(adj, [k * y for y in l]) + zero, frame) for l in coset_reps(r)]
+    points = []
+    for q1, q2 in pairs:
+        y = vec_mat(q1, b1.wperp)
+        head = mat_vec(adj, [u - space.omega(w, y) for u, w in zip(q2, b2.w[:h])])
+        base = vec_mat(head + tuple(d * x for x in q1), frame)
+        points.append([tuple(map(add, base, step)) for step in steps])
+    return d, points
+
+
 def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tuple]:
     """All intersection points of the two labeled Bohr-Sommerfeld orbits.
 
@@ -295,24 +330,10 @@ def intersection_points(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> list[tupl
     lattice, returned as exact rational ambient vectors (representatives
     modulo the integer lattice), in coset enumeration order.
     """
-    space = _common_space(h1, h2)
+    _common_space(h1, h2)
     k = h1.k
-    b1, b2 = h1.pol.basis, h2.pol.basis
-    om21 = space.block(b2.w, b1.w)
-    d = det(om21)
-    if d == 0:
-        raise NotTransverse("polarizations are not transverse")
-    _check_budget(abs(d))
-    # x = om21^{-1} (q2/k + l) W1 - om21^{-T} (q1/k) W2, over k d in integers:
-    # k d x = adj(om21) (q2 + k l) W1 - adj(om21)^T q1 W2
-    adj = adjugate(om21)
-    offset = vec_mat(mat_vec(transpose(adj), q1), b2.w)
-    head = mat_vec(adj, q2)
-    points = []
-    for l in coset_reps(om21):
-        x = vec_mat([h + k * y for h, y in zip(head, mat_vec(adj, l))], b1.w)
-        points.append(tuple(Fraction(u - v, k * d) for u, v in zip(x, offset)))
-    return points
+    d, (points,) = _leaf_points(h1.pol.basis, h2.pol.basis, k, h1.g, [(q1, q2)])
+    return [tuple(Fraction(u, k * d) for u in x) for x in points]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ import numpy as np
 
 from .exact import (
     UnitPhase,
-    coset_reps,
     det,
     gauss_reciprocity_check,
     hnf_rows,
@@ -34,7 +33,6 @@ from .exact import (
     mat_mul,
     multixgcd,
     right_kernel,
-    solve_underdetermined,
     vec_mat,
 )
 from .lattice import (
@@ -59,8 +57,9 @@ from .maslov import (
 from .quantize import (
     HilbertSpace,
     Polarization,
+    _leaf_points,
+    _pair_adapted_or_raise,
     bks_matrix,
-    bks_matrix_nontransverse,
     corrected_intertwiner,
     frame_potential,
     intersection_points,
@@ -236,59 +235,33 @@ def _spaces_for(rng, grid=((1, 2), (1, 4), (2, 2), (2, 4))):
 # oracle helpers (independent of the closed-form route)
 
 
-def pairing_oracle_transverse(h1: HilbertSpace, h2: HilbertSpace) -> np.ndarray:
-    """Defining-integral route: sum the section pairing over the actual
-    Bohr-Sommerfeld intersection points, via the adapted potentials."""
-    k = h1.k
-    space = h1.pol.space
-    b1, b2 = h1.pol.basis, h2.pol.basis
-    d = det([[space.omega(a, b) for b in b1.w] for a in b2.w])
-    norm = 1.0 / math.sqrt(abs(k**h1.g * d))
-    out = np.zeros((h2.dim, h1.dim), dtype=complex)
-    for i1, q1 in enumerate(h1.labels):
-        for i2, q2 in enumerate(h2.labels):
-            acc = 0j
-            for x in intersection_points(h1, h2, q1, q2):
-                t = 2 * k * (frame_potential(h2.pol, x) - frame_potential(h1.pol, x))
-                acc += cmath.exp(1j * math.pi * float(t % 2))
-            out[i2, i1] = norm * acc
-    return out
-
-
-def pairing_oracle_nontransverse(h1: HilbertSpace, h2: HilbertSpace) -> np.ndarray:
-    """Leafwise-constant route for pair-adapted nontransverse frames: solve
-    the label congruence system per coset and evaluate the potentials there."""
-    k = h1.k
-    space = h1.pol.space
-    g = h1.g
-    b1, b2 = h1.pol.basis, h2.pol.basis
-    l12 = intersect(h1.pol.lag, h2.pol.lag)
-    h = g - l12.rank
-    red21 = [[space.omega(b2.w[i], b1.w[j]) for j in range(h)] for i in range(h)]
-    d = det(red21)
+def pairing_oracle(h1: HilbertSpace, h2: HilbertSpace) -> np.ndarray:
+    """Defining-sum route: sum the section pairing over points of the
+    Bohr-Sommerfeld leaves, via the adapted potentials, for frames that share
+    their intersection pairs (those of pair_adapted_bases; canonical frames
+    for a transverse pair).  A transverse pair sums over all |det omega21|
+    intersection points; a nontransverse one over one point per leaf and
+    coset, as the potential difference is constant along a leaf."""
+    k, g = h1.k, h1.g
+    h = _pair_adapted_or_raise(h1, h2) if intersect(h1.pol.lag, h2.pol.lag).rank else g
+    pairs = [(q1, q2) for q1 in h1.labels for q2 in h2.labels if q1[h:] == q2[h:]]
+    d, points = _leaf_points(h1.pol.basis, h2.pol.basis, k, h, pairs)
+    # the potentials are quadratic: K(X / (k d)) = K(X) / (k d)^2
+    den2 = (k * d) ** 2
     norm = 1.0 / math.sqrt(abs(k**h * d))
-    reps = coset_reps(red21) if h else [()]
-    rows = [list(w) for w in b1.w] + [list(b2.w[i]) for i in range(h)]
-    system = mat_mul(rows, [list(r) for r in space.gram])
     out = np.zeros((h2.dim, h1.dim), dtype=complex)
-    for i1, q1 in enumerate(h1.labels):
-        for i2, q2 in enumerate(h2.labels):
-            if q1[h:] != q2[h:]:
-                continue
-            acc = 0j
-            for l in reps:
-                rhs = [Fraction(q, k) for q in q1]
-                rhs += [Fraction(q2[i], k) + l[i] for i in range(h)]
-                x = solve_underdetermined(system, rhs)
-                t = 2 * k * (frame_potential(h2.pol, x) - frame_potential(h1.pol, x))
-                acc += cmath.exp(1j * math.pi * float(t % 2))
-            out[i2, i1] = norm * acc
+    for (q1, q2), xs in zip(pairs, points):
+        acc = 0j
+        for x in xs:
+            t = 2 * k * (frame_potential(h2.pol, x) - frame_potential(h1.pol, x)) / den2
+            acc += cmath.exp(1j * math.pi * float(t % 2))
+        out[h2.label_index(q2), h1.label_index(q1)] = norm * acc
     return out
 
 
 def brute_force_point_count(h1: HilbertSpace, h2: HilbertSpace, q1, q2) -> int:
     """g = 1 congruence enumeration on the denominator grid (independent of
-    the linear-solve route)."""
+    the point routine of pairing_oracle and intersection_points)."""
     space = h1.pol.space
     if space.g != 1:
         raise ValueError("brute force enumeration is a g = 1 oracle")
@@ -396,8 +369,15 @@ def _corrected(rng):
     return _gap(comp, np.eye(comp.shape[0]))
 
 
-def _oracle_defect(f, oracle) -> float:
-    return max(_gap(oracle, f.matrix), exact_backend_defect(f))
+def _adapted_pair(k: int, l1: Lagrangian, l2: Lagrangian) -> tuple[HilbertSpace, HilbertSpace]:
+    """The Hilbert spaces of two Lagrangians on their pair-adapted frames."""
+    b1, b2 = pair_adapted_bases(l1, l2)
+    return HilbertSpace(k, Polarization(l1, b1)), HilbertSpace(k, Polarization(l2, b2))
+
+
+def _oracle_defect(hs1: HilbertSpace, hs2: HilbertSpace) -> float:
+    f = bks_matrix(hs1, hs2)
+    return max(_gap(pairing_oracle(hs1, hs2), f.matrix), exact_backend_defect(f))
 
 
 def _oracle_menu():
@@ -413,8 +393,7 @@ def _oracle_menu():
         for l2 in menu:
             if intersect(l1, l2).rank == 0:
                 for k in (2, 4):
-                    hs1, hs2 = _hilbert(k, l1), _hilbert(k, l2)
-                    yield _oracle_defect(bks_matrix(hs1, hs2), pairing_oracle_transverse(hs1, hs2))
+                    yield _oracle_defect(*_adapted_pair(k, l1, l2))
 
 
 def _oracle(rng):
@@ -422,16 +401,10 @@ def _oracle(rng):
     with |det omega21| > 6 are redrawn."""
     k = rng.choice((2, 4))
     l1, l2 = random_pair(rng, SymplecticSpace.standard(2))
-    if intersect(l1, l2).rank:
-        b1, b2 = pair_adapted_bases(l1, l2)
-        hs1, hs2 = HilbertSpace(k, Polarization(l1, b1)), HilbertSpace(k, Polarization(l2, b2))
-        return _oracle_defect(
-            bks_matrix_nontransverse(hs1, hs2), pairing_oracle_nontransverse(hs1, hs2)
-        )
-    hs1, hs2 = _hilbert(k, l1), _hilbert(k, l2)
-    if _pairing_det(hs1, hs2) > 6:
+    hs1, hs2 = _adapted_pair(k, l1, l2)
+    if intersect(l1, l2).rank == 0 and _pairing_det(hs1, hs2) > 6:
         return None
-    return _oracle_defect(bks_matrix(hs1, hs2), pairing_oracle_transverse(hs1, hs2))
+    return _oracle_defect(hs1, hs2)
 
 
 def _gauss(rng):

@@ -17,7 +17,6 @@ from torusquant.exact import (
     adjugate,
     coset_reps,
     det,
-    frac_inv,
     gauss_reciprocity_check,
     hnf,
     hnf_rows,
@@ -29,8 +28,6 @@ from torusquant.exact import (
     multixgcd,
     signature,
     snf,
-    solve,
-    solve_underdetermined,
     xgcd,
 )
 from torusquant.errors import (
@@ -160,7 +157,8 @@ class TestCosets:
         assert len(reps) == abs(d)
         seen = set()
         for r in reps:
-            red = tuple(x % 1 for x in solve(a, r))  # fractional part of A^-1 r
+            # the fractional part of A^-1 r
+            red = tuple(x % 1 for x in mat_vec(reference_frac_inv(a), r))
             key = tuple(Fraction(x) for x in red)
             assert key not in seen
             seen.add(key)
@@ -376,7 +374,7 @@ def reference_gauss_reciprocity(q, a, w):
     for vec in product(range(a), repeat=g):
         t = Fraction(quad_form(vec, q, vec), a) + 2 * dot(w, vec)
         lhs += cmath.exp(1j * math.pi * float(t % 2))
-    qinv = frac_inv(q)
+    qinv = reference_frac_inv(q)
     tail = 0j
     for m in coset_reps(q):
         mw = [Fraction(x) + y for x, y in zip(m, w)]
@@ -488,8 +486,10 @@ class TestHelpers:
 
 
 # ---------------------------------------------------------------------------
-# Reference eliminations: the rational branch det had and the two Gauss-Jordan
-# loops frac_inv and solve_underdetermined each ran before they shared one.
+# Reference eliminations: the rational branch det had, and the rational
+# Gauss-Jordan loops of the inverse and of the underdetermined solve that the
+# package ran before its eliminations became fraction-free.  The tests keep
+# them as the rational references of the integer routes.
 
 
 def reference_det(m):
@@ -586,24 +586,6 @@ def square_matrix(max_dim=5):
     return st.integers(0, max_dim).flatmap(of_size)
 
 
-def linear_system(max_dim=5):
-    """(a, rhs) with a of any shape up to max_dim x max_dim, so wide, tall and
-    square; rhs is a . x for an integer x (consistent) or drawn freely (for a
-    rank-deficient a, usually inconsistent)."""
-
-    def of_shape(shape):
-        r, c = shape
-        rows = st.lists(st.lists(int_entries, min_size=c, max_size=c), min_size=r, max_size=r)
-        free = st.lists(int_entries, min_size=r, max_size=r)
-        x = st.lists(int_entries, min_size=c, max_size=c)
-        return st.one_of(
-            st.tuples(rows, free),
-            st.tuples(rows, x).map(lambda ax: (ax[0], list(mat_vec(ax[0], ax[1])))),
-        )
-
-    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(of_shape)
-
-
 class TestAgainstReferenceEliminations:
     @settings(max_examples=300, deadline=None)
     @given(square_matrix())
@@ -613,11 +595,9 @@ class TestAgainstReferenceEliminations:
         assert d == reference_det(m)
 
     @settings(max_examples=300, deadline=None)
-    @given(square_matrix(), st.lists(int_entries, min_size=5, max_size=5))
-    def test_inverse_routes_match_gauss_jordan(self, m, rhs):
+    @given(square_matrix())
+    def test_inverse_routes_match_gauss_jordan(self, m):
         ref = outcome(reference_frac_inv, m)
-        assert outcome(frac_inv, m) == ref
-        rhs = rhs[: len(m)]
         if ref is SingularMatrix:
             for route in (int_inv, adjugate):
                 with pytest.raises(SingularMatrix):
@@ -625,27 +605,11 @@ class TestAgainstReferenceEliminations:
             return
         d = reference_det(m)
         assert adjugate(m) == [[int(d * x) for x in row] for row in ref]
-        assert solve(m, rhs) == tuple(mat_vec(ref, [Fraction(x) for x in rhs]))
         if all(x.denominator == 1 for row in ref for x in row):
             assert int_inv(m) == ref
         else:
             with pytest.raises(SingularMatrix):
                 int_inv(m)
-
-    @settings(max_examples=300, deadline=None)
-    @given(linear_system())
-    def test_solve_underdetermined_matches_gauss_jordan(self, system):
-        a, rhs = system
-        x = outcome(solve_underdetermined, a, rhs)
-        assert x == outcome(reference_solve_underdetermined, a, rhs)
-        if x is not SingularMatrix:
-            assert mat_vec(a, x) == tuple(rhs)
-
-    def test_inconsistent_systems_raise(self):
-        with pytest.raises(SingularMatrix):
-            solve_underdetermined([[1, 2], [2, 4]], [1, 3])
-        with pytest.raises(SingularMatrix):
-            solve_underdetermined([[1], [1], [0]], [2, 2, 1])
 
     @pytest.mark.parametrize(
         "m", [[[Fraction(1, 2)]], [[Fraction(4), 2], [1, 1]], [[1.0, 0], [0, 1]]], ids=str

@@ -8,6 +8,10 @@ for an intended change of the floats, with
 
 which rewrites the matrix of every case and refuses to write anything if the
 meta or exact data of a case changed.
+
+The stdout of two `torusquant verify` runs is pinned byte for byte: a change
+that keeps the exact data and the summation order keeps every printed error.
+These files are never re-recorded by the script.
 """
 
 import contextlib
@@ -45,6 +49,19 @@ def test_cli_output_matches_golden(name, capsys):
     assert doc["meta"] == want["meta"]
     assert doc.get("exact") == want.get("exact")
     assert doc["matrix"] == want["matrix"]
+
+
+VERIFY_STDOUT = {
+    "verify_oracle_seed0.json": ["verify", "--suite", "oracle", "--seed", "0"],
+    "verify_tau_seed0.json": ["verify", "--suite", "tau", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_STDOUT))
+def test_verify_stdout_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("QUANT_SEED", raising=False)
+    assert main(VERIFY_STDOUT[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
 def rerecord_matrices() -> int:

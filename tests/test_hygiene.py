@@ -194,7 +194,6 @@ def test_checker_finds_memoized_functions():
 # lattice memos hold frozen dataclasses and int tuples, never arrays.
 MEMOIZED = {
     "lattice.SymplecticSpace.standard": "MEMO_CACHE_SIZE",
-    "lattice.adapted_basis": "MEMO_CACHE_SIZE",
     "lattice.intersect": "MEMO_CACHE_SIZE",
     "lattice.pair_adapted_bases": "MEMO_CACHE_SIZE",
     "quantize.Polarization.canonical": "MEMO_CACHE_SIZE",

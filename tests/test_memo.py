@@ -18,7 +18,6 @@ from torusquant.verify import random_lagrangian, random_pair
 CASES = settings(max_examples=100, deadline=None)
 DRAWS = (st.sampled_from((1, 2, 3)), st.integers(0, 2**32))
 MEMOS = (
-    lattice.adapted_basis,
     lattice.intersect,
     lattice.pair_adapted_bases,
     Polarization.canonical,
@@ -71,9 +70,6 @@ def test_memos_equal_their_derivation(g, seed):
     frames = lattice.pair_adapted_bases.__wrapped__(l1, l2)
     h = g - lattice.intersect.__wrapped__(l1, l2).rank
     calls = [
-        (lattice.adapted_basis, (l1,)),
-        (lattice.adapted_basis, (part,)),
-        (lattice.adapted_basis, (t1,)),
         (lattice.intersect, (l1, l2)),
         (lattice.intersect, (t1, part)),
         (lattice.intersect, (part, t2)),
@@ -111,10 +107,8 @@ def test_failures_are_not_cached():
 
 
 def test_one_desk_pass_hits_every_memo():
-    # the one-case call of each desk suite on one seed.  Each memo but
-    # adapted_basis hits inside a single call (suite_mp hits four); the
-    # canonical memo sits in front of adapted_basis, which hits when a later
-    # suite draws a Lagrangian again (tau's frames, a canonical miss).
+    # the one-case call of each desk suite on one seed: each memo hits
+    # inside a single call
     for memo in MEMOS:
         memo.cache_clear()
     for name, suite in verify.SUITES.items():

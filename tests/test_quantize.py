@@ -27,7 +27,6 @@ from torusquant.exact import (
     coset_box,
     coset_reps,
     det,
-    frac_inv,
     mat_mul,
     mat_vec,
     transpose,
@@ -61,8 +60,7 @@ from torusquant.quantize import (
 from torusquant.verify import (
     brute_force_point_count,
     exact_backend_defect,
-    pairing_oracle_nontransverse,
-    pairing_oracle_transverse,
+    pairing_oracle,
     random_lagrangian,
     random_lift,
     random_pair,
@@ -70,6 +68,8 @@ from torusquant.verify import (
     random_symmetric,
     random_unimodular,
 )
+
+from test_exact import reference_frac_inv, reference_solve_underdetermined
 
 
 def quad_form(x, m, y):
@@ -146,7 +146,7 @@ class TestFrameCoords:
                 x = tuple(rng.randint(-9, 9) for _ in range(2 * g))
             coords = basis.coords(x)
             # the rational inverse of the frame stack, the route coords replaced
-            assert coords == vec_mat(x, frac_inv(basis.stack))
+            assert coords == vec_mat(x, reference_frac_inv(basis.stack))
             assert rational or all(isinstance(c, int) for c in coords)
 
 
@@ -212,7 +212,7 @@ def reference_intersection_points(h1, h2, q1, q2):
     k = h1.k
     b1, b2 = h1.pol.basis, h2.pol.basis
     om21 = h1.pol.space.block(b2.w, b1.w)
-    om21inv = frac_inv(om21)
+    om21inv = reference_frac_inv(om21)
     beta = mat_vec(transpose(om21inv), [Fraction(q, k) for q in q1])
     points = []
     for l in coset_reps(om21):
@@ -238,7 +238,7 @@ class TestTransverseMatrix:
         # closed form against the intersection-point pairing sum
         h1, h2 = hilbert(L_E1, 2), hilbert(L_SLANT, 2)
         f = bks_matrix_transverse(h1, h2)
-        assert np.abs(pairing_oracle_transverse(h1, h2) - f.matrix).max() < 1e-12
+        assert np.abs(pairing_oracle(h1, h2) - f.matrix).max() < 1e-12
 
     def test_entry_magnitudes(self):
         h1, h2 = hilbert(L_E1, 2), hilbert(L_E2, 2)
@@ -287,7 +287,7 @@ class TestNontransverseMatrix:
                 else:
                     assert abs(abs(f.matrix[i2, i1]) - 1 / math.sqrt(k)) < 1e-14
         # against the leafwise-constant pairing sum
-        assert np.abs(pairing_oracle_nontransverse(h1, h2) - f.matrix).max() < 1e-12
+        assert np.abs(pairing_oracle(h1, h2) - f.matrix).max() < 1e-12
 
     def test_transverse_input_rejected(self):
         with pytest.raises(TransverseInput):
@@ -300,6 +300,75 @@ class TestNontransverseMatrix:
         h2 = hilbert(l2, 2)
         with pytest.raises(BasesNotPairAdapted):
             bks_matrix_nontransverse(h1, h2)
+
+
+def reference_pairing_oracle(h1, h2):
+    """The defining sum through a rational Gauss-Jordan solve of the label
+    congruences per coset, as the nontransverse oracle summed it before its
+    integer point routine; h = g takes a transverse pair, whose one solution
+    per coset is the intersection point."""
+    k = h1.k
+    space = h1.pol.space
+    g = h1.g
+    b1, b2 = h1.pol.basis, h2.pol.basis
+    h = g - intersect(h1.pol.lag, h2.pol.lag).rank
+    red21 = [[space.omega(b2.w[i], b1.w[j]) for j in range(h)] for i in range(h)]
+    d = det(red21)
+    norm = 1.0 / math.sqrt(abs(k**h * d))
+    reps = coset_reps(red21) if h else [()]
+    rows = [list(w) for w in b1.w] + [list(b2.w[i]) for i in range(h)]
+    system = mat_mul(rows, [list(r) for r in space.gram])
+    out = np.zeros((h2.dim, h1.dim), dtype=complex)
+    for i1, q1 in enumerate(h1.labels):
+        for i2, q2 in enumerate(h2.labels):
+            if q1[h:] != q2[h:]:
+                continue
+            acc = 0j
+            for l in reps:
+                rhs = [Fraction(q, k) for q in q1]
+                rhs += [Fraction(q2[i], k) + l[i] for i in range(h)]
+                x = reference_solve_underdetermined(system, rhs)
+                t = 2 * k * (frame_potential(h2.pol, x) - frame_potential(h1.pol, x))
+                acc += cmath.exp(1j * math.pi * float(t % 2))
+            out[i2, i1] = norm * acc
+    return out
+
+
+class TestPairingOracle:
+    @pytest.mark.parametrize("transverse", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(g=st.sampled_from((1, 2, 3)), k=st.sampled_from((2, 4)), seed=st.integers(0, 2**32))
+    def test_equals_the_fraction_route_bit_for_bit(self, transverse, g, k, seed):
+        assume(g + k <= 6)
+        l1, l2 = random_pair(random.Random(seed), SymplecticSpace.standard(g))
+        shared = intersect(l1, l2).rank
+        assume((shared == 0) == transverse)
+        b1, b2 = pair_adapted_bases(l1, l2)
+        h1, h2 = HilbertSpace(k, Polarization(l1, b1)), HilbertSpace(k, Polarization(l2, b2))
+        h = g - shared
+        assume(abs(det(SymplecticSpace.standard(g).block(b2.w[:h], b1.w[:h]))) <= 6)
+        got = pairing_oracle(h1, h2)
+        assert got.tobytes() == reference_pairing_oracle(h1, h2).tobytes()
+        assert np.abs(got - bks_matrix(h1, h2).matrix).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "rows1, rows2",
+        [
+            # the parent's leafwise route divided by det R = 0 on these
+            ([[1, 4, -6, 2], [0, 7, -10, 6]], [[1, 0, 18, -6], [0, 1, -6, 2]]),
+            # and summed over the wrong points on these
+            ([[1, 1, 1, 2], [0, 8, 5, 11]], [[10, 2, 4, 9], [0, 8, 5, 11]]),
+        ],
+    )
+    def test_frames_that_are_not_pair_adapted_are_rejected(self, rows1, rows2):
+        l1, l2 = Lagrangian.make(SP2, rows1), Lagrangian.make(SP2, rows2)
+        assert intersect(l1, l2).rank == 1
+        with pytest.raises(BasesNotPairAdapted):
+            pairing_oracle(hilbert(l1, 2), hilbert(l2, 2))
+        # on pair-adapted frames the same pair agrees with the closed form
+        b1, b2 = pair_adapted_bases(l1, l2)
+        h1, h2 = HilbertSpace(2, Polarization(l1, b1)), HilbertSpace(2, Polarization(l2, b2))
+        assert np.abs(pairing_oracle(h1, h2) - bks_matrix(h1, h2).matrix).max() < 1e-12
 
 
 class TestRebase:
