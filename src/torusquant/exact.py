@@ -210,29 +210,33 @@ def _clear_below(mats: Sequence[list[list[int]]], t: int) -> None:
             _rotate(mats, t, i, p, b)
 
 
-def _snf(a: list[list[int]], us: tuple, vts: tuple) -> list[list[int]]:
-    """Smith normal form of a, diagonal nonnegative, d1 | d2 | ...  Row
-    operations apply to the matrices of us too; columns are cleared as the
-    rows of the transpose, so column operations apply to the rows of vts."""
+def snf(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form: (S, U, V) with U*m*V = S diagonal, d1 | d2 | ...
+
+    Diagonal entries are nonnegative; U, V are unimodular.  Row operations
+    apply to U too; columns are cleared as the rows of the transpose, so
+    column operations apply to the rows of V^T.
+    """
+    a = [list(r) for r in m]
     nr, nc = shape(a)
+    u, vt = identity(nr), identity(nc)
     for t in range(min(nr, nc)):
         # deterministic pivot: smallest |entry| in the trailing block, first wins
         nonzero = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
         if not nonzero:
             break
         _, i, j = min(nonzero)
-        for m in (a, *us):
-            m[t], m[i] = m[i], m[t]
+        for x in (a, u):
+            x[t], x[i] = x[i], x[t]
         if j != t:
             for row in a:
                 row[t], row[j] = row[j], row[t]
-            for m in vts:
-                m[t], m[j] = m[j], m[t]
+            vt[t], vt[j] = vt[j], vt[t]
         while True:
-            _clear_below((a, *us), t)
+            _clear_below((a, u), t)
             if any(a[t][t + 1 :]):
                 at = transpose(a)
-                _clear_below((at, *vts), t)
+                _clear_below((at, vt), t)
                 a = transpose(at)
             if any(a[i][t] for i in range(t + 1, nr)):
                 continue
@@ -243,28 +247,20 @@ def _snf(a: list[list[int]], us: tuple, vts: tuple) -> list[list[int]]:
             )
             if culprit is None:
                 break
-            for m in (a, *us):
-                m[t] = [x + y for x, y in zip(m[t], m[culprit])]
+            for x in (a, u):
+                x[t] = [y + z for y, z in zip(x[t], x[culprit])]
         if a[t][t] < 0:
-            for m in (a, *us):
-                m[t] = [-x for x in m[t]]
-    return a
+            for x in (a, u):
+                x[t] = [-y for y in x[t]]
+    return a, u, transpose(vt)
 
 
-def snf(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form: (S, U, V) with U*m*V = S diagonal, d1 | d2 | ...
-
-    Diagonal entries are nonnegative; U, V are unimodular.
-    """
-    a = [list(r) for r in m]
-    nr, nc = shape(a)
-    u, vt = identity(nr), identity(nc)
-    return _snf(a, (u,), (vt,)), u, transpose(vt)
-
-
-def invariant_factors(m: Matrix) -> tuple[int, ...]:
-    s = _snf([list(r) for r in m], (), ())
-    return tuple(s[i][i] for i in range(min(shape(s))) if s[i][i] != 0)
+def is_primitive(rows: Matrix) -> bool:
+    """Whether the rows are independent and span a primitive sublattice: the
+    Hermite form of the transpose has unit pivots (gcd of maximal minors 1)."""
+    cols = transpose(rows)
+    _hnf((cols,))
+    return all(i < len(cols) and cols[i][i] == 1 for i in range(len(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .exact import (
     freeze,
     hnf_rows,
     identity,
-    invariant_factors,
+    is_primitive,
     left_kernel,
     multixgcd,
     vec_mat,
@@ -142,7 +142,7 @@ class Lagrangian:
             raise NotPrimitive("generator rows are linearly dependent")
         if len(canon) > self.space.g:
             raise NotIsotropic("more than g independent isotropic generators")
-        if canon and any(f != 1 for f in invariant_factors(canon)):
+        if not is_primitive(canon):
             raise NotPrimitive("sublattice is not primitive")
         # omega(u, u) = 0 and omega(v, u) = -omega(u, v): pairs u before v decide
         om = self.space.omega
@@ -284,7 +284,6 @@ def intersect(l1: Lagrangian, l2: Lagrangian) -> Lagrangian:
     return _trusted(Lagrangian, space=l1.space, gens=hnf_rows(vecs))
 
 
-@lru_cache(maxsize=MEMO_CACHE_SIZE)
 def pair_adapted_bases(l1: Lagrangian, l2: Lagrangian) -> tuple[AdaptedBasis, AdaptedBasis]:
     """Adapted bases of two full Lagrangians sharing the intersection pairs.
 

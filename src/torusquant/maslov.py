@@ -184,8 +184,8 @@ class MpElement:
     Only the mod-2 parity of z is checked here.  The finer mod-4 condition
     singling out the metaplectic double cover is guaranteed when elements are
     produced through mp_generator and mp_mul; directly constructed pairs are
-    accepted unchecked beyond parity.  mp_mul builds its product unchecked:
-    tau(L1, L2, L3) = g + sum dim(Li meet Lj) mod 2 gives it the parity.
+    accepted unchecked beyond parity.  mp_generator and mp_mul build theirs
+    unchecked: tau(L1, L2, L3) = g + sum dim(Li meet Lj) mod 2 gives it.
     """
 
     base: Lagrangian
@@ -256,7 +256,9 @@ def mp_generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> MpElement:
     element; for g = 1 that second lift is the one pinned to the matrix
     k^{-1/2} e^{5 pi i/4} e^{2 pi i q q'/k} of the metaplectic action.
     """
-    return MpElement(basis.span(), *_generator(basis, kind, a, b))
+    sp, z = _generator(basis, kind, a, b)
+    # alpha, beta and epsilon fix L; gamma moves it to a transverse one, z = g
+    return _trusted(MpElement, base=basis.span(), b=sp, z=z)
 
 
 def _generator(basis: AdaptedBasis, kind: str, a=None, b=None) -> tuple[SpElement, int]:

@@ -7,7 +7,9 @@ and frame change is held exactly as a PhaseTable: each entry is a Gauss-type
 sum of unit phases e^{i pi n / den} with integer numerators n over one common
 denominator.  The complex floating matrix (numpy), authoritative for
 tolerances, is evaluated from that table in one place, PhaseTable.value(),
-once per public call; internal steps pass tables.
+once per public call; internal steps pass tables.  A pairing is the closed
+form for transverse pairs, the closed form in pair-adapted frames between two
+frame changes for partially shared ones, and a frame change for L1 = L2.
 
 The numerators come from one integer kernel: numpy int64 arrays over the
 label grid (Z/kZ)^h and the coset grid Z^h / R Z^h, with every integer matrix
@@ -58,6 +60,7 @@ from .lattice import (
     AdaptedBasis,
     Lagrangian,
     SymplecticSpace,
+    _trusted,
     adapted_basis,
     intersect,
     pair_adapted_bases,
@@ -83,8 +86,10 @@ class Polarization:
     @staticmethod
     @lru_cache(maxsize=MEMO_CACHE_SIZE)
     def canonical(lag: Lagrangian) -> "Polarization":
-        """The deterministic polarization frame of a Lagrangian."""
-        return Polarization(lag, adapted_basis(lag))
+        """The deterministic polarization frame of a Lagrangian (it spans L)."""
+        if not lag.is_full:
+            raise DimensionMismatch("polarizations need rank-g Lagrangians")
+        return _trusted(Polarization, lag=lag, basis=adapted_basis(lag))
 
     @property
     def space(self) -> SymplecticSpace:
@@ -508,20 +513,22 @@ def _pairing(h1: HilbertSpace, h2: HilbertSpace) -> PhaseTable:
     shared = intersect(l1, l2).rank
     if shared == 0:
         return _closed_form(h1.pol.basis, h2.pol.basis, k, h1.g)
+    if shared == h1.g:
+        # one polarization in two frames: the pairing is the frame change
+        return _frame_change(h1.pol.basis, h2.pol.basis, k).table()
     pb1, pb2 = pair_adapted_bases(l1, l2)
     mid = _closed_form(pb1, pb2, k, h1.g - shared)
-    out = _frame_change(pb2, h2.pol.basis, k)
-    back = _frame_change(h1.pol.basis, pb1, k)
-    return mid.between(out, back)
+    return mid.between(_frame_change(pb2, h2.pol.basis, k), _frame_change(h1.pol.basis, pb1, k))
 
 
 def bks_matrix(h1: HilbertSpace, h2: HilbertSpace) -> Intertwiner:
     """Pairing matrix between two polarizations in their own frames.
 
-    Transverse pairs go straight to the closed form.  Nontransverse pairs are
-    computed in pair-adapted frames and conjugated back by the frame-change
-    monomials, so the public matrix always refers to the frames carried by
-    h1 and h2 (canonical frames in normal use).
+    Transverse pairs go straight to the closed form, and L1 = L2 gives the
+    frame change.  Other pairs are computed in pair-adapted frames and
+    conjugated back by the frame-change monomials, so the public matrix
+    always refers to the frames carried by h1 and h2 (canonical frames in
+    normal use).
     """
     return Intertwiner(h1, h2, _pairing(h1, h2))
 

@@ -3,8 +3,10 @@ representation, and its genuine metaplectic resolution on the quantization.
 
 Every operator is an Intertwiner over an exact PhaseTable: the Heisenberg
 translations are monomials (a permutation times unit phases), U(b) is the
-pairing matrix composed with the pushforward monomial, and U(b, z) adds one
-central phase.  The float matrices come only from PhaseTable.value().
+pairing matrix out of bP written in the moved frame b.(W; Wperp), where the
+pushforward is the identity on labels, and U(b, z) adds one central phase.
+A map that fixes P pairs it with itself: U(b) is then a frame change.  The
+float matrices come only from PhaseTable.value().
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from fractions import Fraction
 
 from .errors import BaseMismatch, DimensionMismatch, FrameMismatch
 from .exact import UnitPhase, vec_mat, vec_sub
-from .lattice import SymplecticSpace
+from .lattice import SymplecticSpace, _trusted
 from .maslov import MpElement, SpElement
 from .quantize import (
     HilbertSpace,
     Intertwiner,
     Monomial,
-    PhaseTable,
     Polarization,
     _check_budget,
     _check_level,
@@ -134,42 +135,32 @@ def heisenberg_matrix(x: HeisenbergElement, space: HilbertSpace) -> Intertwiner:
 # symplectic and metaplectic operators
 
 
-def _pushforward(b: SpElement, space: HilbertSpace) -> tuple[HilbertSpace, Monomial]:
-    """The canonical-frame Hilbert space of bP and the pushforward monomial
-    H_P -> H_{bP}.
-
-    In the image frame b.(W; Wperp) the pushforward is the identity
-    permutation of labels; the frame change to the canonical frame of bP
-    makes it a monomial.
-    """
+def _moved(b: SpElement, space: HilbertSpace) -> HilbertSpace:
+    """H_{bP} in the moved frame b.(W; Wperp), valid by construction: there
+    the pushforward H_P -> H_{bP} is the identity on labels."""
     pol = space.pol
     if b.space != pol.space:
         raise BaseMismatch("map and polarization live over different spaces")
-    target = Polarization.canonical(b.apply_lagrangian(pol.lag))
-    push = _frame_change(b.apply_basis(pol.basis), target.basis, space.k)
-    return HilbertSpace(space.k, target), push
+    lag, basis = b.apply_lagrangian(pol.lag), b.apply_basis(pol.basis)
+    return HilbertSpace(space.k, _trusted(Polarization, lag=lag, basis=basis))
 
 
 def sp_pushforward(b: SpElement, space: HilbertSpace) -> Intertwiner:
-    """The geometric pushforward H_P -> H_{bP}, landing in canonical frames."""
-    target, push = _pushforward(b, space)
+    """The geometric pushforward H_P -> H_{bP}: the frame change out of the
+    moved frame into the canonical one."""
+    moved = _moved(b, space).pol
+    target = HilbertSpace(space.k, Polarization.canonical(moved.lag))
+    push = _frame_change(moved.basis, target.pol.basis, space.k)
     return Intertwiner(space, target, push.table())
 
 
-def _sp_table(b: SpElement, space: HilbertSpace) -> PhaseTable:
-    """The table of U(b): the pairing back from H_{bP} after the pushforward."""
-    target, push = _pushforward(b, space)
-    identity = Monomial(tuple(range(space.dim)), (Fraction(0),) * space.dim)
-    return _pairing(target, space).between(identity, push)
-
-
 def sp_operator(b: SpElement, space: HilbertSpace) -> Intertwiner:
-    """U(b) = (pairing map back from H_{bP}) composed with the pushforward.
+    """U(b), the pairing map back from H_{bP} written in the moved frame.
 
     A projective representation: U(b) U(b') equals U(bb') up to the
     eighth-root-of-unity cocycle fixed by the triple index.
     """
-    return Intertwiner(space, space, _sp_table(b, space))
+    return Intertwiner(space, space, _pairing(_moved(b, space), space))
 
 
 def mp_operator(x: MpElement, space: HilbertSpace) -> Intertwiner:
@@ -177,4 +168,5 @@ def mp_operator(x: MpElement, space: HilbertSpace) -> Intertwiner:
     the integer metaplectic group on the fixed Hilbert space."""
     if x.base != space.pol.lag:
         raise BaseMismatch("element base does not match the Hilbert space")
-    return Intertwiner(space, space, _sp_table(x.b, space).scaled(Fraction(x.z, 4)))
+    table = _pairing(_moved(x.b, space), space)
+    return Intertwiner(space, space, table.scaled(Fraction(x.z, 4)))

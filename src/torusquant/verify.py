@@ -29,9 +29,8 @@ from .exact import (
     det,
     gauss_reciprocity_check,
     hnf_rows,
-    invariant_factors,
+    is_primitive,
     mat_mul,
-    multixgcd,
     right_kernel,
     vec_mat,
 )
@@ -39,6 +38,7 @@ from .lattice import (
     AdaptedBasis,
     Lagrangian,
     SymplecticSpace,
+    _trusted,
     adapted_basis,
     intersect,
     pair_adapted_bases,
@@ -122,7 +122,7 @@ class SuiteReport:
 def random_primitive_vector(rng: random.Random, n: int, bound: int = 3) -> tuple:
     while True:
         v = tuple(rng.randint(-bound, bound) for _ in range(n))
-        if any(v) and multixgcd(v)[0] == 1:
+        if is_primitive([v]):
             return v
 
 
@@ -136,21 +136,24 @@ def random_lagrangian(
     """A random rational Lagrangian of the given rank through given rows."""
     rank = space.g if rank is None else rank
     rows = [tuple(r) for r in contains]
+    kern = ()
     while len(rows) < rank:
         if not rows:
             cand = random_primitive_vector(rng, space.dim, bound)
         else:
-            kern = right_kernel(mat_mul(rows, [list(r) for r in space.gram]))
+            kern = kern or right_kernel(mat_mul(rows, space.gram))
             coeffs = [rng.randint(-bound, bound) for _ in kern]
             cand = vec_mat(coeffs, kern) if any(coeffs) else None
         if cand is None or not any(cand):
             continue
         # a kernel vector pairs to zero with rows: what is left to check is
         # that the bigger family is independent and spans a primitive lattice
-        canon = hnf_rows(rows + [cand])
-        if len(canon) == len(rows) + 1 and all(f == 1 for f in invariant_factors(canon)):
-            rows = list(canon)
-    return Lagrangian.make(space, rows)
+        if is_primitive(rows + [cand]):
+            rows, kern = list(hnf_rows(rows + [cand])), ()
+    # drawn rows are checked as they are accepted; given rows are not
+    if contains:
+        return Lagrangian.make(space, rows)
+    return _trusted(Lagrangian, space=space, gens=tuple(rows))
 
 
 def random_pair(rng: random.Random, space: SymplecticSpace):

@@ -22,7 +22,7 @@ from torusquant.exact import (
     hnf_rows,
     identity,
     int_inv,
-    invariant_factors,
+    is_primitive,
     mat_mul,
     mat_vec,
     multixgcd,
@@ -321,10 +321,19 @@ class TestTransformFreeNormalForms:
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrix(5))
-    def test_invariant_factors_are_the_snf_diagonal(self, m):
+    @example([[1, 2, 3]])
+    @example([[2, 4]])
+    @example([[1, 2], [3, 4]])
+    @example([[1, 0, 0], [0, 1, 0]])
+    @example([[1, 2], [2, 4]])
+    def test_is_primitive_iff_unit_invariant_factors(self, m):
+        # the nonzero Smith diagonal: one invariant factor per unit of rank
         s, _, _ = snf(m)
-        diag = tuple(s[i][i] for i in range(min(len(s), len(s[0]))))
-        assert invariant_factors(m) == tuple(d for d in diag if d)
+        factors = [d for d in (s[i][i] for i in range(min(len(s), len(s[0])))) if d]
+        if len(factors) == len(m):
+            assert is_primitive(m) == all(d == 1 for d in factors)
+        else:
+            assert not is_primitive(m)
 
 
 class TestGaussSums:

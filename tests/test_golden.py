@@ -9,8 +9,9 @@ for an intended change of the floats, with
 which rewrites the matrix of every case and refuses to write anything if the
 meta or exact data of a case changed.
 
-The stdout of two `torusquant verify` runs is pinned byte for byte: a change
-that keeps the exact data and the summation order keeps every printed error.
+The stdout of three `torusquant verify` runs, two single suites and the full
+run, is pinned byte for byte: a change that keeps the exact data and the
+summation order keeps every printed error.
 These files are never re-recorded by the script.
 """
 
@@ -52,6 +53,7 @@ def test_cli_output_matches_golden(name, capsys):
 
 
 VERIFY_STDOUT = {
+    "verify_all_seed0.json": ["verify", "--seed", "0"],
     "verify_oracle_seed0.json": ["verify", "--suite", "oracle", "--seed", "0"],
     "verify_tau_seed0.json": ["verify", "--suite", "tau", "--seed", "0"],
 }

@@ -195,7 +195,6 @@ def test_checker_finds_memoized_functions():
 MEMOIZED = {
     "lattice.SymplecticSpace.standard": "MEMO_CACHE_SIZE",
     "lattice.intersect": "MEMO_CACHE_SIZE",
-    "lattice.pair_adapted_bases": "MEMO_CACHE_SIZE",
     "quantize.Polarization.canonical": "MEMO_CACHE_SIZE",
     "quantize._labels": "LABELS_CACHE_SIZE",
     "quantize._closed_form_setup": "MEMO_CACHE_SIZE",
@@ -276,8 +275,10 @@ def test_checker_finds_trusted_sites():
 
 
 # The images valid by construction: a symplectomorphism's images and
-# products, the standard generators, spans of frames, intersections and
-# pair-adapted frames, and metaplectic products.
+# products, the standard generators and their metaplectic elements, spans of
+# frames, intersections and pair-adapted frames, metaplectic products,
+# canonical and moved polarization frames, and seeded Lagrangians whose every
+# row the draw checked.
 TRUSTED_SITES = [
     "lattice.AdaptedBasis.span",
     "lattice.intersect",
@@ -287,7 +288,11 @@ TRUSTED_SITES = [
     "maslov.SpElement.apply_basis",
     "maslov.SpElement.apply_lagrangian",
     "maslov._generator",
+    "maslov.mp_generator",
     "maslov.mp_mul",
+    "quantize.Polarization.canonical",
+    "representations._moved",
+    "verify.random_lagrangian",
 ]
 
 

@@ -19,7 +19,6 @@ CASES = settings(max_examples=100, deadline=None)
 DRAWS = (st.sampled_from((1, 2, 3)), st.integers(0, 2**32))
 MEMOS = (
     lattice.intersect,
-    lattice.pair_adapted_bases,
     Polarization.canonical,
     quantize._closed_form_setup,
 )
@@ -67,14 +66,12 @@ def test_memos_equal_their_derivation(g, seed):
     l1, l2 = random_pair(rng, space)
     part = random_lagrangian(rng, space, rank=rng.randrange(g + 1))
     t1, t2 = twin(l1), twin(l2)
-    frames = lattice.pair_adapted_bases.__wrapped__(l1, l2)
+    frames = lattice.pair_adapted_bases(l1, l2)
     h = g - lattice.intersect.__wrapped__(l1, l2).rank
     calls = [
         (lattice.intersect, (l1, l2)),
         (lattice.intersect, (t1, part)),
         (lattice.intersect, (part, t2)),
-        (lattice.pair_adapted_bases, (l1, l2)),
-        (lattice.pair_adapted_bases, (t1, t2)),
         (Polarization.canonical, (l1,)),
         (Polarization.canonical, (t2,)),
         (quantize._closed_form_setup, (*frames, h)),

@@ -442,6 +442,39 @@ class TestRebase:
         with pytest.raises(BasisMismatch):
             rebase_unitary(pol, pol.basis, other, 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from((1, 2, 3)), st.sampled_from((2, 4)))
+    def test_frame_changes_compose(self, seed, g, k):
+        # the groupoid law: b1 -> b2 -> b3 is b1 -> b3, labels and exponents
+        rng = random.Random(seed)
+        b1 = adapted_basis(random_lagrangian(rng, SymplecticSpace.standard(g)))
+        b2 = _twisted_frame(rng, b1)
+        b3 = _twisted_frame(rng, b2)
+        first, then, direct = _frame_change(b1, b2, k), _frame_change(b2, b3, k), _frame_change(b1, b3, k)
+        # row i of then holds column j; row j of first holds column c
+        cols = [first.cols[j] for j in then.cols]
+        exps = [(then.exps[i] + first.exps[j]) % 2 for i, j in enumerate(then.cols)]
+        assert cols == list(direct.cols)
+        assert exps == [t % 2 for t in direct.exps]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(((1, 2), (1, 4), (2, 2), (2, 4), (3, 2))))
+    def test_self_pairing_is_the_frame_change(self, seed, gk):
+        g, k = gk
+        rng = random.Random(seed)
+        lag = random_lagrangian(rng, SymplecticSpace.standard(g))
+        pol = Polarization.canonical(lag)
+        b1 = _twisted_frame(rng, pol.basis)
+        b2 = _twisted_frame(rng, pol.basis)
+        h1 = HilbertSpace(k, Polarization(lag, b1))
+        h2 = HilbertSpace(k, Polarization(lag, b2))
+        got, want = bks_matrix(h1, h2).exact, rebase_unitary(pol, b1, b2, k).exact
+        assert (got.amp2, got.den) == (want.amp2, want.den)
+        assert np.array_equal(got.nums, want.nums)
+        assert np.array_equal(got.live, want.live)
+        # and the route through pair-adapted frames agrees entry by entry
+        _assert_matches_reference(bks_matrix(h1, h2), _reference_bks(h1, h2))
+
 
 def _twisted_frame(rng, basis):
     """Another adapted frame of the same Lagrangian: W' = A W and

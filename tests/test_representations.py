@@ -1,20 +1,31 @@
 import cmath
+import functools
+import json
 import math
 import random
 import time
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusquant import representations
+from torusquant.cli import main
 from torusquant.errors import BaseMismatch, FrameMismatch, OddModulus, TooLarge
 from torusquant.exact import UnitPhase
-from torusquant.lattice import Lagrangian, SymplecticSpace, adapted_basis
+from torusquant.lattice import Lagrangian, SymplecticSpace, adapted_basis, intersect
 from torusquant.maslov import SpElement, mp_generator, mp_mul, triple_index
-from torusquant.quantize import HilbertSpace, Polarization, bks_matrix, unitarity_defect
+from torusquant.quantize import (
+    HilbertSpace,
+    Polarization,
+    bks_matrix,
+    rebase_unitary,
+    unitarity_defect,
+)
 from torusquant.representations import (
     HeisenbergElement,
     heisenberg_identity,
@@ -31,6 +42,8 @@ from torusquant.verify import (
     random_mp_word,
     random_pair,
     random_sp,
+    random_symmetric,
+    random_unimodular,
 )
 
 SP1 = SymplecticSpace.standard(1)
@@ -85,21 +98,84 @@ def dense_heisenberg(x, space):
     return matrix
 
 
+class Reference(NamedTuple):
+    """Exact data of an operator table and its float matrix."""
+
+    amp2: int
+    live: np.ndarray
+    exps: dict
+    matrix: np.ndarray
+
+
+def exponents(table) -> dict:
+    """(row, col) -> the sorted rational phase exponents mod 2 of each live
+    entry of a PhaseTable."""
+    return {
+        (r, c): sorted(Fraction(int(n), table.den) for n in table.nums[r, c])
+        for r, c in zip(*np.nonzero(table.live))
+    }
+
+
+def reference_pushforward(b, space):
+    """H_P -> H_{bP} in the canonical frame of bP: the frame change of bP
+    from the image frame b.(W; Wperp), in which labels are kept."""
+    target = Polarization.canonical(b.apply_lagrangian(space.pol.lag))
+    return rebase_unitary(target, b.apply_basis(space.pol.basis), target.basis, space.k)
+
+
 def dense_sp(b, space):
-    """Reference U(b): the dense product of the pairing and the pushforward."""
-    push = sp_pushforward(b, space)
-    return bks_matrix(push.target, space).matrix @ push.matrix
+    """Reference U(b) on a route of its own: the pairing back from bP in its
+    canonical frame composed with the pushforward monomial, entry by entry.
+
+    Column c of the pushforward holds one phase e^{i pi t} in row j, so entry
+    (r, c) of the product is entry (r, j) of the pairing times that phase.
+    """
+    push = reference_pushforward(b, space)
+    pairing = bks_matrix(HilbertSpace(space.k, push.target.pol), space)
+    rows = push.exact.live.argmax(axis=0)
+    shift = [Fraction(int(push.exact.nums[j, c, 0]), push.exact.den) for c, j in enumerate(rows)]
+    pair_exps = exponents(pairing.exact)
+    live = pairing.exact.live[:, rows]
+    exps = {
+        (r, c): sorted((t + shift[c]) % 2 for t in pair_exps[r, rows[c]])
+        for r, c in zip(*np.nonzero(live))
+    }
+    return Reference(pairing.exact.amp2, live, exps, pairing.matrix @ push.matrix)
 
 
 def dense_mp(x, space):
-    """Reference U(b, z): the central phase applied as one float scalar."""
-    return UnitPhase.of(Fraction(x.z, 4)).value() * dense_sp(x.b, space)
+    """Reference U(b, z): the central phase added to every exponent, and
+    applied to the matrix as one float scalar."""
+    ref = dense_sp(x.b, space)
+    z = Fraction(x.z, 4)
+    exps = {rc: sorted((t + z) % 2 for t in ts) for rc, ts in ref.exps.items()}
+    return ref._replace(exps=exps, matrix=UnitPhase.of(z).value() * ref.matrix)
 
 
 def assert_matches_dense(op, reference):
+    if isinstance(reference, Reference):
+        assert op.exact.amp2 == reference.amp2
+        assert np.array_equal(op.exact.live, reference.live)
+        assert exponents(op.exact) == reference.exps
+        reference = reference.matrix
     assert op.exact.live.shape == reference.shape
     assert np.abs(op.matrix - reference).max() < 1e-12
     assert exact_backend_defect(op) <= 1e-12
+
+
+def word(rng, basis, kinds, length):
+    """A metaplectic word of generators of the given kinds, drawn in order."""
+    g = basis.space.g
+    gens = []
+    for _ in range(length):
+        kind = rng.choice(kinds)
+        a = random_unimodular(rng, g) if kind == "alpha" else None
+        b = random_symmetric(rng, g) if kind == "beta" else None
+        gens.append(mp_generator(basis, kind, a, b))
+    return functools.reduce(mp_mul, gens)
+
+
+FIXING = ("alpha", "beta", "epsilon")
 
 
 class TestAgainstDenseRoutes:
@@ -127,6 +203,33 @@ class TestAgainstDenseRoutes:
         x = random_heis(rng, k, pol)
         assert_matches_dense(heisenberg_matrix(x, hs), dense_heisenberg(x, hs))
         w = random_mp_word(rng, pol.basis, rng.randrange(1, 6))
+        assert_matches_dense(sp_operator(w.b, hs), dense_sp(w.b, hs))
+        assert_matches_dense(mp_operator(w, hs), dense_mp(w, hs))
+
+
+    @given(st.integers(0, 2**32), st.sampled_from(((1, 2), (1, 4), (2, 2), (2, 4), (3, 2))),
+           st.sampled_from(("fixes", "transverse", "any")))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_against_the_canonical_frame_route(self, seed, gk, route):
+        # words that fix L pair it with itself; a fixing word after gamma
+        # moves L to a transverse Lagrangian; any word may share part of it
+        g, k = gk
+        rng = random.Random(seed)
+        lag = random_lagrangian(rng, SymplecticSpace.standard(g))
+        pol = Polarization.canonical(lag)
+        hs = HilbertSpace(k, pol)
+        length = rng.randrange(1, 5)
+        if route == "any":
+            w = random_mp_word(rng, pol.basis, length)
+        else:
+            w = word(rng, pol.basis, FIXING, length)
+            if route == "transverse":
+                w = mp_mul(w, mp_generator(pol.basis, "gamma"))
+        moved = w.b.apply_lagrangian(lag)
+        if route == "fixes":
+            assert moved == lag
+        elif route == "transverse":
+            assert intersect(moved, lag).rank == 0
         assert_matches_dense(sp_operator(w.b, hs), dense_sp(w.b, hs))
         assert_matches_dense(mp_operator(w, hs), dense_mp(w, hs))
 
@@ -269,6 +372,20 @@ class TestSpOperators:
         hs = HilbertSpace(2, POL1)
         push = sp_pushforward(b, hs)
         assert np.abs(push.matrix - np.eye(2)).max() == 0
+
+    @given(st.integers(0, 2**32), st.sampled_from(((1, 4), (2, 2), (2, 4), (3, 2))))
+    @settings(max_examples=40, deadline=None)
+    def test_pushforward_is_the_frame_change_from_the_image_frame(self, seed, gk):
+        g, k = gk
+        rng = random.Random(seed)
+        pol = Polarization.canonical(random_lagrangian(rng, SymplecticSpace.standard(g)))
+        hs = HilbertSpace(k, pol)
+        b = random_sp(rng, pol.basis, rng.randrange(1, 5))
+        got, want = sp_pushforward(b, hs), reference_pushforward(b, hs)
+        assert got.target == want.target
+        assert (got.exact.amp2, got.exact.den) == (want.exact.amp2, want.exact.den)
+        assert np.array_equal(got.exact.nums, want.exact.nums)
+        assert np.array_equal(got.exact.live, want.exact.live)
 
     def test_label_permutation_generator(self):
         for k in (2, 4):
@@ -414,6 +531,44 @@ class TestTableBudget:
             with pytest.raises(TooLarge):
                 build()
             assert time.perf_counter() - start < 1.0
+
+
+class TestErrorPaths:
+    def test_base_mismatch_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the base check")
+
+        hs = HilbertSpace(2, POL1)
+        other_space = SpElement.identity(SP2)
+        other_base = mp_generator(adapted_basis(Lagrangian.make(SP1, [[0, 1]])), "gamma")
+        for name in ("_pairing", "_frame_change"):
+            monkeypatch.setattr(representations, name, no_work)
+        for name in ("apply_lagrangian", "apply_basis"):
+            monkeypatch.setattr(SpElement, name, no_work)
+        calls = (
+            lambda: sp_operator(other_space, hs),
+            lambda: sp_pushforward(other_space, hs),
+            lambda: mp_operator(other_base, hs),
+        )
+        for call in calls:
+            with pytest.raises(BaseMismatch):
+                call()
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            ["--kind", "alpha", "--matrix", "-1"],
+            ["--kind", "beta", "--matrix", "1", "--metaplectic"],
+            ["--kind", "gamma"],
+        ],
+    )
+    def test_over_budget_keeps_its_error_code(self, kind, capsys):
+        # k^2 = 2^24 entries: the self-pairing branch (alpha, beta) and the
+        # transverse closed form (gamma) refuse the table with TooLarge
+        start = time.perf_counter()
+        assert main(["rep", "--g", "1", "--k", "4096", *kind]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().err)["error"] == "TooLarge"
 
 
 class TestCommutant:

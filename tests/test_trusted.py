@@ -4,8 +4,12 @@ object, so every validation it skips would have passed."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from torusquant.errors import DimensionMismatch
+from torusquant.exact import hnf_rows
 
 from torusquant.lattice import (
     AdaptedBasis,
@@ -15,7 +19,9 @@ from torusquant.lattice import (
     intersect,
     pair_adapted_bases,
 )
-from torusquant.maslov import MpElement, SpElement, _generator, mp_mul
+from torusquant.maslov import MpElement, SpElement, _generator, mp_generator, mp_mul
+from torusquant.quantize import HilbertSpace, Polarization
+from torusquant.representations import _moved
 from torusquant.verify import (
     _random_generators,
     random_lagrangian,
@@ -38,6 +44,10 @@ def checked_frame(basis: AdaptedBasis) -> AdaptedBasis:
 
 def checked_map(b: SpElement) -> SpElement:
     return SpElement(b.space, b.mat)
+
+
+def checked_polarization(pol: Polarization) -> Polarization:
+    return Polarization(pol.lag, pol.basis)
 
 
 @CASES
@@ -102,3 +112,44 @@ def test_mp_products_have_the_checked_parity(g, seed):
     x, y = (random_mp_word(rng, basis, rng.randrange(1, 5)) for _ in range(2))
     for prod in (mp_mul(x, y), mp_mul(y, x), mp_mul(x, x)):
         assert MpElement(prod.base, prod.b, prod.z) == prod
+
+
+@CASES
+@given(*DRAWS)
+def test_seeded_draws(g, seed):
+    rng = random.Random(seed)
+    space = SymplecticSpace.standard(g)
+    for rank in range(g + 1):
+        lag = random_lagrangian(rng, space, rank=rank)
+        assert checked_lagrangian(lag) == lag and lag.rank == rank
+    # a draw through given rows is checked whole, and contains them
+    full = random_lagrangian(rng, space)
+    part = random_lagrangian(rng, space, rank=rng.randrange(1, g + 1), contains=full.gens[:1])
+    assert checked_lagrangian(part) == part
+    assert hnf_rows(part.gens + full.gens[:1]) == part.gens
+
+
+@CASES
+@given(*DRAWS)
+def test_generator_elements_have_the_checked_parity(g, seed):
+    rng = random.Random(seed)
+    basis = adapted_basis(random_lagrangian(rng, SymplecticSpace.standard(g)))
+    for args in _random_generators(rng, basis, 4) + [("gamma", None, None)]:
+        x = mp_generator(basis, *args)
+        assert MpElement(x.base, x.b, x.z) == x
+
+
+@CASES
+@given(*DRAWS)
+def test_canonical_and_moved_frames(g, seed):
+    rng = random.Random(seed)
+    space = SymplecticSpace.standard(g)
+    pol = Polarization.canonical(random_lagrangian(rng, space))
+    assert checked_polarization(pol) == pol
+    b = random_sp(rng, pol.basis, rng.randrange(1, 5))
+    moved = _moved(b, HilbertSpace(2, pol)).pol
+    assert checked_polarization(moved) == moved
+    assert moved.lag == b.apply_lagrangian(pol.lag)
+    # the canonical frame still refuses a Lagrangian of rank below g
+    with pytest.raises(DimensionMismatch):
+        Polarization.canonical(random_lagrangian(rng, space, rank=rng.randrange(g)))
